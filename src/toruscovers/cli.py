@@ -36,7 +36,7 @@ EXIT_INVALID = 2
 EXIT_CAPACITY = 3
 EXIT_CACHE = 4
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 CACHE_DIR_ENV = "TORUSCOVERS_CACHE_DIR"
 JOBS_ENV = "TORUSCOVERS_JOBS"
 
@@ -48,7 +48,9 @@ class CacheError(RuntimeError):
 @dataclass
 class ResultCache:
     """Append-only JSONL store.  One record per line: {"key": .., "value": ..}.
-    Reads scan the whole file and the last record for a key wins, so
+    Keys are compared as sorted JSON text; values keep their field order,
+    so a hit prints the same bytes as the computation it replays.  Reads
+    scan the whole file and the last record for a key wins, so
     concurrent appenders never corrupt each other's view; compaction
     rewrites atomically, dropping stale and torn records."""
 
@@ -93,7 +95,7 @@ class ResultCache:
         return found
 
     def put(self, key: dict, value: dict) -> None:
-        line = json.dumps({"key": key, "value": value}, sort_keys=True)
+        line = json.dumps({"key": key, "value": value})
         try:
             with open(self.path, "a+b") as fh:
                 # a writer that died mid-line leaves no newline; start fresh
@@ -116,10 +118,8 @@ class ResultCache:
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 for ktext, value in kept.items():
-                    fh.write(
-                        json.dumps({"key": json.loads(ktext), "value": value},
-                                   sort_keys=True) + "\n"
-                    )
+                    record = {"key": json.loads(ktext), "value": value}
+                    fh.write(json.dumps(record) + "\n")
             os.replace(tmp, self.path)
         except OSError as e:
             raise CacheError(f"cannot compact cache {self.path}: {e}") from e
@@ -307,7 +307,7 @@ def cmd_components(args) -> int:
             EXIT_INVALID,
             f"sigma {prof.parts} gives cover genus {prof.genus}, not {args.genus}",
         )
-    dec = decompose(args.d, prof)
+    dec = decompose(args.d, prof, max_degree=args.max_degree)
     rows = []
     for comp in dec.components:
         members = [dec.classes[i] for i in comp]
@@ -341,7 +341,7 @@ def cmd_components(args) -> int:
 
 def cmd_genus(args) -> int:
     prof = _profile(args)
-    dec = decompose(args.d, prof)
+    dec = decompose(args.d, prof, max_degree=args.max_degree)
     inv = curve_invariants(dec)
     payload = {
         "d": args.d,
@@ -373,7 +373,7 @@ def cmd_genus(args) -> int:
 
 def cmd_orbifold(args) -> int:
     prof = _profile(args)
-    inv = curve_invariants(decompose(args.d, prof))
+    inv = curve_invariants(decompose(args.d, prof, max_degree=args.max_degree))
     payload = {
         "d": args.d,
         "sigma": list(prof.parts),

@@ -6,12 +6,19 @@ whose commutator lies in sigma and which generate a transitive subgroup of
 S_d.  Two pairs give the same cover iff they are simultaneously conjugate,
 so the objects enumerated here are conjugation classes of such pairs.
 
-The enumeration fixes beta to one canonical representative per cycle type
-and walks the solution set for alpha in cosets: alpha solves
-``alpha beta alpha^-1 = gamma beta`` for exactly one gamma in sigma's
-class, and for fixed gamma the solutions form one left coset of the
-centralizer of beta.  Classes with beta fixed correspond to orbits of that
-centralizer acting on alpha by conjugation.
+The enumeration fixes beta to one canonical representative beta0 per cycle
+type and walks the solution set for alpha in cosets: alpha solves
+``alpha beta0 alpha^-1 = gamma beta0`` for exactly one gamma in sigma's
+class, and for fixed gamma the solutions form one left coset
+``a0 C(beta0)`` of the centralizer of beta0.  Classes with beta fixed are
+the orbits of C(beta0) acting on alpha by conjugation.
+
+Conjugating by z in C(beta0) carries the coset of gamma onto the coset of
+``z gamma z^-1``, so the walk visits one gamma per C(beta0)-orbit only.
+A class meets the coset of that representative in exactly one orbit of
+``Stab(gamma) = C(beta0) ∩ C(gamma)``, so classes correspond one-to-one
+to pairs (C(beta0)-orbit of gamma, Stab(gamma)-orbit of transitive alphas
+in the coset of its representative).
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .perms import (
     Partition,
@@ -35,6 +42,7 @@ from .perms import (
     conjugating_element,
     cycle_string,
     cycle_type,
+    cycles,
     identity,
     inverse,
     is_transitive,
@@ -373,30 +381,127 @@ def _coset_solutions(
                 yield compose(a0, z)
 
 
+def _connectivity_test(beta0: Perm) -> Callable[[Perm], bool]:
+    """Return a test of whether ``<alpha, beta0>`` is transitive.  The
+    orbits of that group are unions of cycles of beta0 joined by alpha, so
+    the test walks cycles instead of points."""
+    blocks = cycles(beta0)
+    if len(blocks) == 1:
+        return lambda alpha: True
+    block_of = [0] * len(beta0)
+    for i, cyc in enumerate(blocks):
+        for x in cyc:
+            block_of[x] = i
+
+    def connected(alpha: Perm) -> bool:
+        reached = {0}
+        stack = [0]
+        while stack:
+            for x in blocks[stack.pop()]:
+                b = block_of[alpha[x]]
+                if b not in reached:
+                    reached.add(b)
+                    stack.append(b)
+        return len(reached) == len(blocks)
+
+    return connected
+
+
+def _coset_reps(
+    ctx: _TypeContext,
+    gamma: Perm,
+    a0: Perm,
+    orbit_size: int,
+    connected: Callable[[Perm], bool],
+) -> list[Perm]:
+    """Canonical alphas of the classes meeting the coset ``a0 C(beta0)`` of
+    gamma, using the materialized centralizer: each class meets the coset
+    in one orbit of Stab(gamma), so each is canonicalized once."""
+    elements = ctx.elements
+    assert elements is not None
+    stab = [
+        (z, zinv) for z, zinv in elements
+        if [z[g] for g in gamma] == [gamma[x] for x in z]
+    ]
+    if orbit_size * len(stab) != ctx.order:
+        raise ConsistencyError("gamma orbit and stabilizer sizes do not match")
+    points = range(len(gamma))
+    seen: set[Perm] = set()
+    reps = []
+    for z, _ in elements:
+        alpha = tuple([a0[x] for x in z])
+        if alpha in seen or not connected(alpha):
+            continue
+        reps.append(_min_over_elements(alpha, ctx))
+        for s, sinv in stab:
+            seen.add(tuple([s[alpha[sinv[x]]] for x in points]))
+    return reps
+
+
+def _coset_reps_bfs(
+    ctx: _TypeContext, a0: Perm, connected: Callable[[Perm], bool]
+) -> list[Perm]:
+    """As :func:`_coset_reps` for a centralizer too large to materialize:
+    each new transitive alpha's whole C(beta0)-orbit is walked breadth-first
+    and marked seen."""
+    seen: set[Perm] = set()
+    reps = []
+    for z in centralizer_elements(ctx.parts):
+        alpha = tuple([a0[x] for x in z])
+        if alpha in seen or not connected(alpha):
+            continue
+        orbit, best = _orbit_min(alpha, ctx)
+        seen |= orbit
+        reps.append(best)
+    return reps
+
+
+def _classes_for_type(ctx: _TypeContext, gammas: Sequence[Perm]) -> list[CoverClass]:
+    """Cover classes with beta = ctx.rep whose commutator lies in
+    ``gammas`` (one whole conjugacy class), sorted by alpha."""
+    beta0 = ctx.rep
+    connected = _connectivity_test(beta0)
+    seen_gamma: set[Perm] = set()
+    reps: list[Perm] = []
+    for gamma in gammas:
+        if gamma in seen_gamma:
+            continue
+        delta = tuple([gamma[x] for x in beta0])
+        if cycle_type(delta) != ctx.parts:
+            continue
+        orbit, _ = _orbit_min(gamma, ctx)
+        seen_gamma |= orbit
+        a0 = conjugating_element(beta0, delta)
+        if a0 is None:  # same type; cannot happen
+            raise ConsistencyError("missing conjugator for matching types")
+        if ctx.elements is not None:
+            reps.extend(_coset_reps(ctx, gamma, a0, len(orbit), connected))
+        else:
+            if ctx.order % len(orbit):
+                raise ConsistencyError(
+                    "gamma orbit size does not divide centralizer order"
+                )
+            reps.extend(_coset_reps_bfs(ctx, a0, connected))
+    reps.sort()
+    return [CoverClass(a, beta0) for a in reps]
+
+
 def classes_for_beta_type(
     profile: RamificationProfile, parts: Partition
 ) -> list[CoverClass]:
     """All cover classes whose beta has the given cycle type, as canonical
-    representatives sorted by alpha."""
+    representatives sorted by alpha.
+
+    Walks one commutator gamma per C(beta0)-orbit and, in its coset, one
+    alpha per Stab(gamma)-orbit (see the module docstring).
+    """
     d = profile.degree
     if sum(parts) != d:
         raise ValueError("beta type must partition the degree")
     if not profile.admits_covers:
         return []
-    ctx = _type_context(parts)
-    beta0 = ctx.rep
-    seen: set[Perm] = set()
-    reps: list[Perm] = []
-    for a in _coset_solutions(ctx, profile.parts, d):
-        if a in seen:
-            continue
-        if not is_transitive([a, beta0], d):
-            continue
-        orbit, best = _orbit_min(a, ctx)
-        seen |= orbit
-        reps.append(best)
-    reps.sort()
-    return [CoverClass(a, beta0) for a in reps]
+    gammas = tuple(class_elements(profile.parts, d))
+    return _classes_for_type(_type_context(parts), gammas)
 
 
 def enumerate_classes(
@@ -417,8 +522,11 @@ def enumerate_classes(
             "raise max_degree explicitly if you mean it"
         )
     out: list[CoverClass] = []
+    if not profile.admits_covers:
+        return out
+    gammas = tuple(class_elements(profile.parts, degree))
     for parts in partitions(degree):
-        out.extend(classes_for_beta_type(profile, parts))
+        out.extend(_classes_for_type(_type_context(parts), gammas))
     return out
 
 

@@ -23,6 +23,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .covers import (
+    DEFAULT_MAX_DEGREE,
     ConsistencyError,
     CoverClass,
     CountsTable,
@@ -175,10 +176,12 @@ def curve_invariants(
 # combined report
 
 
-def full_report(degree: int, profile: RamificationProfile) -> dict:
+def full_report(
+    degree: int, profile: RamificationProfile, max_degree: int = DEFAULT_MAX_DEGREE
+) -> dict:
     """Everything about one (d, sigma): counts, slope, genus, orbifold
     data and the per-component breakdown, JSON-ready."""
-    classes = enumerate_classes(degree, profile)
+    classes = enumerate_classes(degree, profile, max_degree=max_degree)
     if not classes:
         return {
             "d": degree,

@@ -19,7 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .covers import CoverClass, RamificationProfile, canonical_pair, enumerate_classes
+from .covers import (
+    DEFAULT_MAX_DEGREE,
+    CoverClass,
+    RamificationProfile,
+    canonical_pair,
+    enumerate_classes,
+)
 from .perms import Partition, Perm, compose, inverse
 
 ACTION_NAMES = ("a", "b", "a_inv", "b_inv", "inv")
@@ -109,10 +115,12 @@ def decompose(
     degree: int,
     profile: RamificationProfile,
     classes: Optional[Sequence[CoverClass]] = None,
+    max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> OrbitDecomposition:
-    """Compute components (<a, b> orbits) and local orbits (b orbits)."""
+    """Compute components (<a, b> orbits) and local orbits (b orbits).
+    Without ``classes``, enumerates them under the bound ``max_degree``."""
     if classes is None:
-        classes = enumerate_classes(degree, profile)
+        classes = enumerate_classes(degree, profile, max_degree=max_degree)
     classes = tuple(classes)
     index = _index_map(classes)
 

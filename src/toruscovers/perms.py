@@ -120,8 +120,20 @@ def cycle_type(p: Perm) -> Partition:
     >>> cycle_type(parse_cycles("(1 2)(3 4 5)", 6))
     (3, 2, 1)
     """
-    counts = sorted((len(c) for c in cycles(p)), reverse=True)
-    return tuple(counts)
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        n = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            n += 1
+        lengths.append(n)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 def sign(p: Perm) -> int:

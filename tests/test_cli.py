@@ -216,6 +216,23 @@ def test_sweep_table_and_csv(tmp_path, capsys):
 # cache behavior
 
 
+def test_max_degree_reaches_decomposing_commands(capsys):
+    # the bound is honoured in both directions by every command that
+    # enumerates through the orbit decomposition
+    for command in ("components", "genus", "orbifold"):
+        code, _, _ = run(
+            [command, "--d", "5", "--sigma", "3", "--max-degree", "4"], capsys
+        )
+        assert code == 3
+    code, out, _ = run(
+        ["components", "--d", "10", "--sigma", "3", "--max-degree", "10",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["d"] == 10
+
+
 def test_cache_round_trip_and_canonical_keys(tmp_path):
     cache = ResultCache.at(tmp_path)
     cache.put({"d": 5, "sigma": [3], "version": 1}, {"N": 27})
@@ -266,13 +283,17 @@ def test_cache_version_bump_recomputes(tmp_path, capsys):
 
 
 def test_cache_hit_output_byte_identical(tmp_path, capsys):
-    argv = ["sweep", "--d-range", "3..4", "--sigma", "2,2",
-            "--cache-dir", str(tmp_path), "--format", "json"]
-    code, cold, _ = run(argv, capsys)
-    assert code == 0
-    code, warm, _ = run(argv, capsys)
-    assert code == 0
-    assert cold == warm
+    for argv in (
+        ["sweep", "--d-range", "3..4", "--sigma", "2,2", "--format", "json"],
+        # the csv cell holds JSON objects whose key order must survive a hit
+        ["counts", "--d", "5", "--sigma", "3", "--format", "csv"],
+    ):
+        argv = argv + ["--cache-dir", str(tmp_path)]
+        code, cold, _ = run(argv, capsys)
+        assert code == 0
+        code, warm, _ = run(argv, capsys)
+        assert code == 0
+        assert cold == warm
 
 
 def test_cache_unreadable_path_is_exit_4(tmp_path, capsys):

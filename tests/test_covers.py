@@ -13,6 +13,8 @@ from toruscovers.covers import (
     CapacityError,
     CoverClass,
     RamificationProfile,
+    _coset_solutions,
+    _type_context,
     canonical_pair,
     count_table,
     enumerate_classes,
@@ -57,10 +59,10 @@ def _naive_classes(d, sigma_parts):
     return orbits
 
 
-@pytest.mark.parametrize(
-    "d,sigma",
-    [(3, "3"), (4, "3"), (4, "2,2"), (5, "3"), (5, "2,2"), (5, "5"), (4, "4")],
-)
+NAIVE_CASES = [(3, "3"), (4, "3"), (4, "2,2"), (5, "3"), (5, "2,2"), (5, "5"), (4, "4")]
+
+
+@pytest.mark.parametrize("d,sigma", NAIVE_CASES)
 def test_enumeration_matches_naive_orbit_count(d, sigma):
     prof = RamificationProfile.of(d, sigma)
     classes = enumerate_classes(d, prof)
@@ -77,14 +79,34 @@ def test_enumeration_matches_naive_orbit_count(d, sigma):
     assert lib == naive
 
 
-def test_each_class_is_one_naive_orbit():
-    d, sigma = 4, "3"
+@pytest.mark.parametrize("d,sigma", NAIVE_CASES)
+def test_each_class_is_one_naive_orbit(d, sigma):
     prof = RamificationProfile.of(d, sigma)
     classes = enumerate_classes(d, prof)
     orbits = _naive_classes(d, prof.parts)
     reps = {min(orbit) for orbit in orbits}
     canon = {canonical_pair(*rep) for rep in reps}
     assert canon == {(c.alpha, c.beta) for c in classes}
+
+
+def test_orbit_walk_matches_raw_coset_walk():
+    # every gamma's coset, every transitive alpha, canonicalized one by one:
+    # the same representatives in the same order as the orbit-aware walk
+    for d in range(1, 8):
+        for sigma in partitions(d):
+            prof = RamificationProfile.of(d, sigma)
+            expected = []
+            if prof.admits_covers:
+                for parts in partitions(d):
+                    ctx = _type_context(parts)
+                    canon = {
+                        canonical_pair(a, ctx.rep)
+                        for a in _coset_solutions(ctx, prof.parts, d)
+                        if is_transitive([a, ctx.rep], d)
+                    }
+                    expected.extend(sorted(canon))
+            got = [(c.alpha, c.beta) for c in enumerate_classes(d, prof)]
+            assert got == expected, (d, sigma)
 
 
 def test_canonical_pair_is_conjugation_invariant():
