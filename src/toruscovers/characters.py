@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Mapping, Sequence
 
-from .covers import weighted_count
+from .covers import check_capacity, weighted_count
 from .perms import (
     Partition,
     class_elements,
@@ -299,7 +299,9 @@ def series_log(w: Mapping[Key, Fraction], d_max: int) -> dict[Key, Fraction]:
 def build_generating_functions(d_max: int) -> tuple[GenSeries, GenSeries]:
     """(Zhat, Ztilde): the disconnected series from character sums, the
     connected one from enumeration-backed weighted counts.  Coefficients
-    are counts divided by d!."""
+    are counts divided by d!.  The connected series enumerates, so d_max
+    is bounded like enumeration (checked before any work)."""
+    check_capacity(d_max)
     zhat: dict[Key, Fraction] = {}
     ztilde: dict[Key, Fraction] = {}
     for d in range(1, d_max + 1):

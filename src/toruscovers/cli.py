@@ -27,7 +27,7 @@ from .covers import (
     count_table,
     enumerate_classes,
 )
-from .geometry import component_slope, curve_invariants, slope
+from .geometry import component_rows, curve_invariants, slope
 from .monodromy import decompose
 from .perms import parse_cycles
 
@@ -133,6 +133,12 @@ def _cache_from_args(args) -> Optional[ResultCache]:
     return ResultCache.at(directory)
 
 
+def _holds(value, fields) -> bool:
+    """Whether a cached value is a dict holding every field a command
+    prints from it; any other hit is treated as a miss and recomputed."""
+    return isinstance(value, dict) and all(f in value for f in fields)
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 
@@ -229,7 +235,7 @@ def cmd_counts(args) -> int:
         "version": CACHE_VERSION,
     }
     payload = cache.get(key) if cache else None
-    if payload is None:
+    if not _holds(payload, ("d", "sigma", "N", "M", "slope")):
         if args.method == "formula":
             payload = _counts_via_formula(args.d, prof)
             if payload is None:
@@ -307,21 +313,7 @@ def cmd_components(args) -> int:
             EXIT_INVALID,
             f"sigma {prof.parts} gives cover genus {prof.genus}, not {args.genus}",
         )
-    dec = decompose(args.d, prof, max_degree=args.max_degree)
-    rows = []
-    for comp in dec.components:
-        members = [dec.classes[i] for i in comp]
-        cs = component_slope(prof, members)
-        inv = curve_invariants(dec, comp)
-        rows.append(
-            {
-                "size": len(comp),
-                "slope": str(cs.slope),
-                "genus": inv.genus,
-                "primitive": all(c.is_primitive for c in members),
-            }
-        )
-    rows.sort(key=lambda r: (r["size"], r["slope"]))
+    rows = component_rows(prof, decompose(args.d, prof, max_degree=args.max_degree))
     payload = {
         "d": args.d,
         "sigma": list(prof.parts),
@@ -443,13 +435,11 @@ def _check(lines: list[str], label: str, ok: bool) -> bool:
 
 def verify_family(family: str, primes: Sequence[int], lines: list[str]) -> bool:
     """Closed per-type formulas and totals against brute force."""
-    from collections import Counter
-
     ok = True
     for d in primes:
         prof = RamificationProfile.of(d, formulas.family_sigma(family))
-        classes = enumerate_classes(d, prof)
-        table = Counter(c.beta_type for c in classes)
+        counted = count_table(d, prof)
+        table = dict(counted.by_type)
         good = True
         for parts, n in table.items():
             try:
@@ -462,8 +452,7 @@ def verify_family(family: str, primes: Sequence[int], lines: list[str]) -> bool:
             if pred != table.get(parts, 0):
                 good = False
         ok &= _check(lines, f"{family} d={d}: per-type table", good)
-        N = len(classes)
-        M = sum((c.weight for c in classes), Fraction(0))
+        N, M = counted.N, counted.M
         aN, aM = formulas.assembled_N_M(d, family)
         ok &= _check(
             lines, f"{family} d={d}: assembled N={aN} M={aM}", (aN, aM) == (N, M)
@@ -523,20 +512,13 @@ def verify_slope10(lines: list[str], max_d: int = 9) -> bool:
                 continue
             if not prof.admits_covers:
                 continue
-            classes = enumerate_classes(d, prof)
-            if not classes:
+            rows = component_rows(prof, decompose(d, prof))
+            if not rows:
                 continue
-            dec = decompose(d, prof, classes)
-            good = all(
-                component_slope(prof, [classes[i] for i in comp]).slope
-                == Fraction(10)
-                for comp in dec.components
-            )
             ok &= _check(
                 lines,
-                f"sigma=({sigma}) d={d}: slope 10 on all "
-                f"{len(dec.components)} components",
-                good,
+                f"sigma=({sigma}) d={d}: slope 10 on all {len(rows)} components",
+                all(r["slope"] == "10" for r in rows),
             )
     return ok
 
@@ -554,13 +536,9 @@ def verify_components(lines: list[str], max_d: int = 8) -> bool:
         got == expected[: max_d - 2],
     )
     prof = RamificationProfile.of(5, "5")
-    classes = enumerate_classes(5, prof)
-    dec = decompose(5, prof, classes)
-    sizes = sorted(len(c) for c in dec.components)
-    slopes = sorted(
-        str(component_slope(prof, [classes[i] for i in comp]).slope)
-        for comp in dec.components
-    )
+    rows = component_rows(prof, decompose(5, prof))
+    sizes = sorted(r["size"] for r in rows)
+    slopes = sorted(r["slope"] for r in rows)
     ok &= _check(
         lines,
         f"g=3 d=5: component sizes {sizes}, slopes {slopes}",
@@ -627,15 +605,9 @@ def verify_origami(lines: list[str]) -> bool:
     w2 = CoverClass.from_pair(
         parse_cycles("(1 3 2 4 5 6 7)"), parse_cycles("(1 2)", 7)
     )
-    prof = RamificationProfile.of(7, "2,2")
-    classes = enumerate_classes(7, prof)
-    dec = decompose(7, prof, classes)
-    where = {}
-    for ci, comp in enumerate(dec.components):
-        for i in comp:
-            where[(classes[i].alpha, classes[i].beta)] = ci
-    in1 = where.get((w1.alpha, w1.beta))
-    in2 = where.get((w2.alpha, w2.beta))
+    dec = decompose(7, RamificationProfile.of(7, "2,2"))
+    where = {dec.classes[i]: n for n, comp in enumerate(dec.components) for i in comp}
+    in1, in2 = where.get(w1), where.get(w2)
     ok &= _check(
         lines,
         "the two witness pairs for sigma=(2,2,1^3), d=7 lie in distinct "
@@ -708,6 +680,14 @@ def _sweep_row(task) -> dict:
     return row
 
 
+def _sweep_row_ok(row, with_genus: bool) -> bool:
+    """Whether a cached sweep row holds the fields a fresh one would."""
+    if not _holds(row, ("d", "sigma", "N")):
+        return False
+    genus = ("genus",) if with_genus and row["N"] else ()
+    return "note" in row or _holds(row, ("M", "slope", *genus))
+
+
 def _sweep_key(d: int, args) -> dict:
     return {
         "d": d,
@@ -729,7 +709,7 @@ def cmd_sweep(args) -> int:
     tasks, rows, cached = [], {}, 0
     for d in ds:
         hit = cache.get(_sweep_key(d, args)) if cache else None
-        if hit is not None:
+        if _sweep_row_ok(hit, args.genus):
             rows[d] = hit
             cached += 1
         else:

@@ -46,7 +46,6 @@ from .perms import (
     identity,
     inverse,
     is_transitive,
-    parse_cycles,
     partition_sign,
     partitions,
     type_rep,
@@ -67,6 +66,14 @@ class CapacityError(RuntimeError):
 
 class ConsistencyError(RuntimeError):
     """Raised when an internal cross-check fails (should never happen)."""
+
+
+def check_capacity(degree: int, max_degree: int = DEFAULT_MAX_DEGREE) -> None:
+    """Raise CapacityError when ``degree`` exceeds the brute-force bound."""
+    if degree > max_degree:
+        raise CapacityError(
+            f"degree {degree} exceeds the enumeration bound {max_degree}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +121,6 @@ class RamificationProfile:
     @property
     def nontrivial_parts(self) -> Partition:
         return tuple(l for l in self.parts if l > 1)
-
-    @property
-    def ramified_count(self) -> int:
-        return len(self.nontrivial_parts)
 
     @property
     def admits_covers(self) -> bool:
@@ -289,10 +292,6 @@ class CoverClass:
 
     def as_dict(self) -> dict:
         return {"alpha": cycle_string(self.alpha), "beta": cycle_string(self.beta)}
-
-
-def cover_class_from_strings(alpha: str, beta: str, degree: int) -> CoverClass:
-    return CoverClass.from_pair(parse_cycles(alpha, degree), parse_cycles(beta, degree))
 
 
 def period_lattice_index(alpha: Perm, beta: Perm) -> int:
@@ -493,11 +492,13 @@ def classes_for_beta_type(
     representatives sorted by alpha.
 
     Walks one commutator gamma per C(beta0)-orbit and, in its coset, one
-    alpha per Stab(gamma)-orbit (see the module docstring).
+    alpha per Stab(gamma)-orbit (see the module docstring).  Degrees past
+    ``DEFAULT_MAX_DEGREE`` raise CapacityError.
     """
     d = profile.degree
     if sum(parts) != d:
         raise ValueError("beta type must partition the degree")
+    check_capacity(d)
     if not profile.admits_covers:
         return []
     gammas = tuple(class_elements(profile.parts, d))
@@ -516,11 +517,7 @@ def enumerate_classes(
     """
     if degree != profile.degree:
         raise ValueError("profile degree mismatch")
-    if degree > max_degree:
-        raise CapacityError(
-            f"degree {degree} exceeds the enumeration bound {max_degree}; "
-            "raise max_degree explicitly if you mean it"
-        )
+    check_capacity(degree, max_degree)
     out: list[CoverClass] = []
     if not profile.admits_covers:
         return out
@@ -603,10 +600,7 @@ def count_table(
     if method == "burnside_prime":
         if degree < 2 or any(degree % k == 0 for k in range(2, degree)):
             raise ValueError("burnside_prime requires a prime degree")
-        if degree > max_degree:
-            raise CapacityError(
-                f"degree {degree} exceeds the enumeration bound {max_degree}"
-            )
+        check_capacity(degree, max_degree)
         counts = {}
         if profile.admits_covers:
             for parts in partitions(degree):
@@ -634,7 +628,8 @@ def weighted_count(degree: int, k: int, parts: Partition) -> Fraction:
     commutator of type (2^k 1^(d-2k)), divided by d!.
 
     Equals the sum over classes of 1/stabilizer_order.  Out-of-range or
-    odd k gives zero (no such covers), not an error.
+    odd k gives zero (no such covers), not an error; degrees past
+    ``DEFAULT_MAX_DEGREE`` raise CapacityError.
     """
     if k < 0 or 2 * k > degree or k % 2:
         return Fraction(0)

@@ -172,6 +172,26 @@ def curve_invariants(
     return CurveInvariants(g, tuple(pts), euler_orbifold(g, pts))
 
 
+def component_rows(
+    profile: RamificationProfile, decomposition: OrbitDecomposition
+) -> list[dict]:
+    """Size, slope, genus and primitivity of each component, sorted by
+    size, then slope."""
+    rows = []
+    for comp in decomposition.components:
+        members = [decomposition.classes[i] for i in comp]
+        rows.append(
+            {
+                "size": len(comp),
+                "slope": str(component_slope(profile, members).slope),
+                "genus": curve_invariants(decomposition, comp).genus,
+                "primitive": all(c.is_primitive for c in members),
+            }
+        )
+    rows.sort(key=lambda r: (r["size"], r["slope"]))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # combined report
 
@@ -194,27 +214,12 @@ def full_report(
     M = sum((c.weight for c in classes), Fraction(0))
     s = slope_from_counts(profile, N, M)
     inv = curve_invariants(dec)
-    comps = []
-    for comp in dec.components:
-        cs = component_slope(profile, [classes[i] for i in comp])
-        cinv = curve_invariants(dec, comp)
-        comps.append(
-            {
-                "size": len(comp),
-                "slope": str(cs.slope),
-                "genus": cinv.genus,
-                "primitive": all(classes[i].is_primitive for i in comp),
-            }
-        )
-    comps.sort(key=lambda r: (r["size"], r["slope"]))
     return {
         "d": degree,
         "sigma": list(profile.parts),
         "N": N,
         "M": str(M),
         "slope": s.as_dict(),
-        "genus": inv.genus,
-        "orbifold": [{"order": p.order, "count": p.count} for p in inv.orbifold],
-        "chi": str(inv.chi),
-        "components": comps,
+        **inv.as_dict(),
+        "components": component_rows(profile, dec),
     }

@@ -12,7 +12,11 @@ and the local monodromy around each of the 12 degenerate fibers acts by
 the same twist ``b``.  Orbits of <a, b> are the connected components of
 the total space; orbits of ``b`` alone are its points above one nodal
 fiber.  The elliptic involution acts by inv: (alpha, beta) ->
-(alpha^-1, beta^-1).
+(alpha^-1, beta^-1), and the quarter turn of the square-tiled view by
+R: (alpha, beta) -> (beta^-1, alpha).
+
+All generators live in one table; ``action_images`` turns a generator
+into a tuple of class indices, and every orbit query reads those tuples.
 """
 from __future__ import annotations
 
@@ -26,23 +30,25 @@ from .covers import (
     canonical_pair,
     enumerate_classes,
 )
-from .perms import Partition, Perm, compose, inverse
+from .perms import Perm, compose, cycles, inverse, orbits
 
-ACTION_NAMES = ("a", "b", "a_inv", "b_inv", "inv")
+# each generator as a map of pairs; R is the quarter turn of the square
+# lattice (see origami), and R^2 is inv
+_IMAGES = {
+    "a": lambda alpha, beta: (alpha, compose(alpha, beta)),
+    "b": lambda alpha, beta: (compose(alpha, beta), beta),
+    "a_inv": lambda alpha, beta: (alpha, compose(inverse(alpha), beta)),
+    "b_inv": lambda alpha, beta: (compose(alpha, inverse(beta)), beta),
+    "inv": lambda alpha, beta: (inverse(alpha), inverse(beta)),
+    "R": lambda alpha, beta: (inverse(beta), alpha),
+}
+ACTION_NAMES = tuple(_IMAGES)
 
 
 def _image_pair(name: str, alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
-    if name == "a":
-        return alpha, compose(alpha, beta)
-    if name == "b":
-        return compose(alpha, beta), beta
-    if name == "a_inv":
-        return alpha, compose(inverse(alpha), beta)
-    if name == "b_inv":
-        return compose(alpha, inverse(beta)), beta
-    if name == "inv":
-        return inverse(alpha), inverse(beta)
-    raise ValueError(f"unknown action {name!r}; expected one of {ACTION_NAMES}")
+    if name not in _IMAGES:
+        raise ValueError(f"unknown action {name!r}; expected one of {ACTION_NAMES}")
+    return _IMAGES[name](alpha, beta)
 
 
 def act(name: str, cover: CoverClass) -> CoverClass:
@@ -51,11 +57,18 @@ def act(name: str, cover: CoverClass) -> CoverClass:
     return CoverClass.from_pair(a, b)
 
 
-@dataclass(frozen=True)
-class LocalOrbitSummary:
-    beta_type: Partition
-    size: int
-    count: int
+def action_images(classes: Sequence[CoverClass], name: str) -> tuple[int, ...]:
+    """For each class, the index in ``classes`` of its image under one
+    generator.  Raises KeyError naming the class when the list is not
+    closed under the generator."""
+    index = {(c.alpha, c.beta): i for i, c in enumerate(classes)}
+    out = []
+    for c in classes:
+        j = index.get(canonical_pair(*_image_pair(name, c.alpha, c.beta)))
+        if j is None:
+            raise KeyError(f"the {name} image of class {c} is not in the list")
+        out.append(j)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -70,17 +83,6 @@ class OrbitDecomposition:
     @property
     def component_sizes(self) -> list[int]:
         return [len(c) for c in self.components]
-
-    def local_orbit_summary(self) -> list[LocalOrbitSummary]:
-        tally: dict[tuple[Partition, int], int] = {}
-        for orbit in self.local_orbits:
-            t = self.classes[orbit[0]].beta_type
-            key = (t, len(orbit))
-            tally[key] = tally.get(key, 0) + 1
-        return [
-            LocalOrbitSummary(t, size, n)
-            for (t, size), n in sorted(tally.items(), reverse=True)
-        ]
 
     def orbits_in_component(self, component: tuple[int, ...]) -> list[tuple[int, ...]]:
         members = set(component)
@@ -100,17 +102,6 @@ class OrbitDecomposition:
         return tuple(out)
 
 
-def _index_map(classes: Sequence[CoverClass]) -> dict[tuple[Perm, Perm], int]:
-    return {(c.alpha, c.beta): i for i, c in enumerate(classes)}
-
-
-def _image_index(
-    name: str, cover: CoverClass, index: dict[tuple[Perm, Perm], int]
-) -> int:
-    pair = canonical_pair(*_image_pair(name, cover.alpha, cover.beta))
-    return index[pair]
-
-
 def decompose(
     degree: int,
     profile: RamificationProfile,
@@ -122,76 +113,15 @@ def decompose(
     if classes is None:
         classes = enumerate_classes(degree, profile, max_degree=max_degree)
     classes = tuple(classes)
-    index = _index_map(classes)
-
-    # image of b for every class; a computed on demand during the sweep
-    b_next = [_image_index("b", c, index) for c in classes]
-
-    local: list[tuple[int, ...]] = []
-    seen_local = [False] * len(classes)
-    for i in range(len(classes)):
-        if seen_local[i]:
-            continue
-        orbit = [i]
-        seen_local[i] = True
-        j = b_next[i]
-        while j != i:
-            seen_local[j] = True
-            orbit.append(j)
-            j = b_next[j]
-        local.append(tuple(orbit))
-
-    comps: list[tuple[int, ...]] = []
-    seen = [False] * len(classes)
-    for i in range(len(classes)):
-        if seen[i]:
-            continue
-        frontier = [i]
-        seen[i] = True
-        members = [i]
-        while frontier:
-            nxt = []
-            for j in frontier:
-                targets = (b_next[j], _image_index("a", classes[j], index))
-                for k in targets:
-                    if not seen[k]:
-                        seen[k] = True
-                        members.append(k)
-                        nxt.append(k)
-            frontier = nxt
-        comps.append(tuple(sorted(members)))
-    return OrbitDecomposition(classes, tuple(comps), tuple(local))
-
-
-def components(
-    degree: int,
-    profile: RamificationProfile,
-    classes: Optional[Sequence[CoverClass]] = None,
-) -> tuple[tuple[int, ...], ...]:
-    return decompose(degree, profile, classes).components
-
-
-def local_orbits(
-    degree: int,
-    profile: RamificationProfile,
-    classes: Optional[Sequence[CoverClass]] = None,
-) -> tuple[tuple[int, ...], ...]:
-    return decompose(degree, profile, classes).local_orbits
+    a = action_images(classes, "a")
+    b = action_images(classes, "b")
+    return OrbitDecomposition(
+        classes, tuple(orbits([a, b], len(classes))), tuple(cycles(b))
+    )
 
 
 # ---------------------------------------------------------------------------
 # elliptic involution
-
-
-def involution_image(cover: CoverClass) -> CoverClass:
-    return act("inv", cover)
-
-
-def is_involution_fixed(cover: CoverClass) -> bool:
-    """Whether the class equals its own image under inv (such covers
-    descend to the quotient with a fixed point)."""
-    img = involution_image(cover)
-    return (img.alpha, img.beta) == (cover.alpha, cover.beta)
 
 
 def involution_pairs(
@@ -199,25 +129,10 @@ def involution_pairs(
 ) -> list[tuple[int, Optional[int]]]:
     """Pairing of class indices under inv: (i, j) with i < j for swapped
     pairs, (i, None) for fixed classes."""
-    index = _index_map(classes)
-    out: list[tuple[int, Optional[int]]] = []
-    done = set()
-    for i, c in enumerate(classes):
-        if i in done:
-            continue
-        j = _image_index("inv", c, index)
-        if j == i:
-            out.append((i, None))
-            done.add(i)
-        else:
-            out.append((min(i, j), max(i, j)))
-            done.update((i, j))
-    return out
-
-
-def quotient_class_count(classes: Sequence[CoverClass]) -> int:
-    """Number of classes after identifying inv-swapped pairs."""
-    return len(involution_pairs(classes))
+    return [
+        (cyc[0], cyc[1] if len(cyc) > 1 else None)
+        for cyc in cycles(action_images(classes, "inv"))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +141,14 @@ def quotient_class_count(classes: Sequence[CoverClass]) -> int:
 
 def action_graph_dot(classes: Sequence[CoverClass]) -> str:
     """Graphviz DOT text of the two-generator action on the class set."""
-    index = _index_map(classes)
+    a = action_images(classes, "a")
+    b = action_images(classes, "b")
     lines = ["digraph action {"]
     for i, c in enumerate(classes):
         label = str(c).replace('"', "'")
         lines.append(f'  n{i} [label="{label}"];')
-    for i, c in enumerate(classes):
-        ia = _image_index("a", c, index)
-        ib = _image_index("b", c, index)
-        lines.append(f'  n{i} -> n{ia} [label="a"];')
-        lines.append(f'  n{i} -> n{ib} [label="b" style=dashed];')
+    for i in range(len(classes)):
+        lines.append(f'  n{i} -> n{a[i]} [label="a"];')
+        lines.append(f'  n{i} -> n{b[i]} [label="b" style=dashed];')
     lines.append("}")
     return "\n".join(lines)

@@ -23,16 +23,16 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .covers import CoverClass
+from .monodromy import _image_pair, action_images
 from .perms import (
     Perm,
     classify_group,
-    compose,
     cycle_string,
     cycle_type,
     cycles,
     commutator,
-    inverse,
     is_transitive,
+    orbits,
 )
 
 
@@ -147,45 +147,21 @@ def _cylinder_rows(s: SquareTiledSurface) -> list[list[tuple[int, ...]]]:
 
 def act_U(s: SquareTiledSurface) -> SquareTiledSurface:
     """Horizontal shear: v becomes v*h, h is unchanged (so cylinder
-    circumferences are preserved)."""
-    return SquareTiledSurface(v=compose(s.v, s.h), h=s.h)
+    circumferences are preserved).  On pairs this is the twist b."""
+    return SquareTiledSurface(*_image_pair("b", s.v, s.h))
 
 
 def act_R(s: SquareTiledSurface) -> SquareTiledSurface:
     """Quarter turn: the pair (v, h) becomes (h^-1, v); applying it
     twice inverts both permutations."""
-    return SquareTiledSurface(v=inverse(s.h), h=s.v)
+    return SquareTiledSurface(*_image_pair("R", s.v, s.h))
 
 
 def ur_orbits(classes: Sequence[CoverClass]) -> list[tuple[int, ...]]:
     """Orbits of the <U, R> action on a list of cover classes, as sorted
-    index tuples (sorted by smallest member)."""
-    position = {(c.alpha, c.beta): i for i, c in enumerate(classes)}
-    seen = [False] * len(classes)
-    orbits = []
-    for start in range(len(classes)):
-        if seen[start]:
-            continue
-        block = []
-        todo = [start]
-        seen[start] = True
-        while todo:
-            i = todo.pop()
-            block.append(i)
-            surf = SquareTiledSurface.from_pair(classes[i])
-            for image in (act_U(surf), act_R(surf)):
-                c = image.to_pair()
-                j = position.get((c.alpha, c.beta))
-                if j is None:
-                    raise KeyError(
-                        f"image {c} of class {classes[i]} is not in the list"
-                    )
-                if not seen[j]:
-                    seen[j] = True
-                    todo.append(j)
-        orbits.append(tuple(sorted(block)))
-    orbits.sort(key=lambda b: b[0])
-    return orbits
+    index tuples (sorted by smallest member).  Raises KeyError naming a
+    class whose image is not in the list."""
+    return orbits([action_images(classes, name) for name in ("b", "R")], len(classes))
 
 
 def weierstrass_parity(cover: CoverClass) -> int:

@@ -338,6 +338,19 @@ def orbit_of(point: int, gens: Sequence[Perm]) -> set[int]:
     return seen
 
 
+def orbits(gens: Sequence[Perm], degree: int) -> list[tuple[int, ...]]:
+    """Orbits of the group generated on {0..degree-1}, each sorted, listed
+    by smallest point."""
+    seen: set[int] = set()
+    out = []
+    for start in range(degree):
+        if start not in seen:
+            orbit = orbit_of(start, gens)
+            seen |= orbit
+            out.append(tuple(sorted(orbit)))
+    return out
+
+
 def is_transitive(gens: Sequence[Perm], degree: int) -> bool:
     """Whether the group generated acts transitively on {1..degree}.
 

@@ -159,6 +159,9 @@ def test_capacity_exit_code(capsys):
         capsys,
     )
     assert code == 0 and json.loads(out)["N"] == 27
+    # the connected series enumerates too, so it is bounded the same way
+    code, _, err = run(["genfun-check", "--d-max", "11"], capsys)
+    assert code == 3 and "bound" in err
 
 
 def test_probe_small(capsys):
@@ -294,6 +297,28 @@ def test_cache_hit_output_byte_identical(tmp_path, capsys):
         code, warm, _ = run(argv, capsys)
         assert code == 0
         assert cold == warm
+
+
+def test_cache_value_of_wrong_shape_is_a_miss(tmp_path, capsys):
+    for n, argv in enumerate((
+        ["counts", "--d", "5", "--sigma", "3"],
+        ["sweep", "--d-range", "2..4", "--sigma", "3", "--genus"],
+    )):
+        code, uncached, _ = run(argv, capsys)
+        assert code == 0
+        cached = argv + ["--cache-dir", str(tmp_path / str(n))]
+        run(cached, capsys)
+        path = tmp_path / str(n) / "results.jsonl"
+        good = [json.loads(line) for line in path.read_text().splitlines()]
+        for bad in ({"N": 1}, [1]):
+            path.write_text("".join(
+                json.dumps({"key": r["key"], "value": bad}) + "\n" for r in good
+            ))
+            code, out, _ = run(cached, capsys)
+            assert code == 0 and out == uncached
+            # the recomputed values were stored again
+            cache = ResultCache(path)
+            assert all(cache.get(r["key"]) == r["value"] for r in good)
 
 
 def test_cache_unreadable_path_is_exit_4(tmp_path, capsys):

@@ -199,6 +199,9 @@ def test_capacity_guard():
     with pytest.raises(CapacityError):
         enumerate_classes(10, prof)
     assert enumerate_classes(10, prof, max_degree=10) is not None
+    # weighted counts enumerate one beta type and share the bound
+    with pytest.raises(CapacityError):
+        weighted_count(10, 2, (10,))
 
 
 def test_weighted_count_against_raw_pair_scan():

@@ -3,15 +3,8 @@ from fractions import Fraction
 import pytest
 
 from toruscovers.covers import CoverClass, RamificationProfile, enumerate_classes
-from toruscovers.monodromy import (
-    act,
-    action_graph_dot,
-    decompose,
-    involution_image,
-    involution_pairs,
-    is_involution_fixed,
-    quotient_class_count,
-)
+from toruscovers.monodromy import act, action_graph_dot, decompose, involution_pairs
+from toruscovers.origami import ur_orbits
 from toruscovers.perms import commutator, compose, cycle_type, inverse, parse_cycles
 
 
@@ -52,7 +45,7 @@ def test_actions_are_invertible_on_the_class_set():
 def test_inv_is_an_involution():
     prof = RamificationProfile.of(5, "2,2")
     for c in enumerate_classes(5, prof):
-        twice = involution_image(involution_image(c))
+        twice = act("inv", act("inv", c))
         assert (twice.alpha, twice.beta) == (c.alpha, c.beta)
 
 
@@ -101,9 +94,35 @@ def test_quotient_count_and_fixed_classes():
     fixed = [i for i, j in pairs if j is None]
     swapped = [(i, j) for i, j in pairs if j is not None]
     assert len(fixed) + 2 * len(swapped) == len(classes)
-    assert quotient_class_count(classes) == len(pairs)
     for i in fixed:
-        assert is_involution_fixed(classes[i])
+        img = act("inv", classes[i])
+        assert (img.alpha, img.beta) == (classes[i].alpha, classes[i].beta)
+    for i, j in swapped:
+        img = act("inv", classes[i])
+        assert (img.alpha, img.beta) == (classes[j].alpha, classes[j].beta)
+
+
+@pytest.mark.parametrize("query", ["decompose", "involution_pairs", "ur_orbits"])
+def test_queries_reject_a_list_not_closed_under_the_action(query):
+    prof = RamificationProfile.of(5, "5")
+    classes = enumerate_classes(5, prof)
+    # drop one class of a swapped inv pair; its component has more than one
+    # class, so a, b and U = b, R also map some kept class onto it
+    i, j = next(p for p in involution_pairs(classes) if p[1] is not None)
+    dropped, kept = classes[j], classes[:j] + classes[j + 1 :]
+    run, gens = {
+        "decompose": (lambda: decompose(5, prof, kept), ("a", "b")),
+        "involution_pairs": (lambda: involution_pairs(kept), ("inv",)),
+        "ur_orbits": (lambda: ur_orbits(kept), ("b", "R")),
+    }[query]
+    with pytest.raises(KeyError, match="is not in the list") as err:
+        run()
+    named = [c for c in kept if f"of class {c} " in str(err.value)]
+    assert len(named) == 1
+    images = [act(g, named[0]) for g in gens]
+    assert (dropped.alpha, dropped.beta) in {(c.alpha, c.beta) for c in images}
+    if query == "involution_pairs":
+        assert named[0] == classes[i]
 
 
 def test_action_graph_dot_mentions_every_class():
