@@ -139,11 +139,23 @@ def _holds(value, fields) -> bool:
     return isinstance(value, dict) and all(f in value for f in fields)
 
 
+def _counts_ok(value) -> bool:
+    """Whether a cached counts value holds the fields a fresh one would,
+    down to each row of its ``types`` list."""
+    types = value.get("types", []) if isinstance(value, dict) else None
+    return (
+        _holds(value, ("d", "sigma", "N", "M", "slope"))
+        and isinstance(types, list)
+        and all(_holds(t, ("type", "n", "weight")) for t in types)
+    )
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 
 
 def _profile(args) -> RamificationProfile:
+    _at_least("--d", args.d, 1)
     try:
         return RamificationProfile.of(args.d, args.sigma)
     except (ValueError, TypeError) as e:
@@ -153,6 +165,12 @@ def _profile(args) -> RamificationProfile:
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _at_least(option: str, value: int, low: int) -> None:
+    """Exit 2 naming ``option`` when its value is below ``low``."""
+    if value < low:
+        raise SystemExit(_fail(EXIT_INVALID, f"{option} must be at least {low}"))
 
 
 def _emit(args, payload, table_lines=None) -> None:
@@ -199,17 +217,22 @@ def _parse_d_list(args) -> list[int]:
     if getattr(args, "d_range", None):
         try:
             lo, hi = (int(x) for x in args.d_range.split(".."))
+            if not 1 <= lo <= hi:
+                raise ValueError
         except ValueError:
-            raise SystemExit(
-                _fail(EXIT_INVALID, f"bad --d-range {args.d_range!r}; want a..b")
-            )
+            raise SystemExit(_fail(
+                EXIT_INVALID, f"bad --d-range {args.d_range!r}; want a..b, 1 <= a <= b"
+            ))
         ds = list(range(lo, hi + 1))
-    elif getattr(args, "d", None):
+    elif getattr(args, "d", None) is not None:
+        _at_least("--d", args.d, 1)
         ds = [args.d]
     else:
         raise SystemExit(_fail(EXIT_INVALID, "need --d or --d-range"))
     if getattr(args, "primes_only", False):
         ds = [d for d in ds if formulas.is_prime(d)]
+        if not ds:
+            raise SystemExit(_fail(EXIT_INVALID, "--primes-only leaves no degree"))
     return ds
 
 
@@ -235,7 +258,7 @@ def cmd_counts(args) -> int:
         "version": CACHE_VERSION,
     }
     payload = cache.get(key) if cache else None
-    if not _holds(payload, ("d", "sigma", "N", "M", "slope")):
+    if not _counts_ok(payload):
         if args.method == "formula":
             payload = _counts_via_formula(args.d, prof)
             if payload is None:
@@ -382,6 +405,7 @@ def cmd_orbifold(args) -> int:
 
 
 def cmd_characters(args) -> int:
+    _at_least("--d", args.d, 1)
     table = chars.CharacterTable.build(args.d)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
@@ -400,6 +424,7 @@ def cmd_characters(args) -> int:
 
 
 def cmd_genfun_check(args) -> int:
+    _at_least("--d-max", args.d_max, 1)
     zhat, ztilde = chars.build_generating_functions(args.d_max)
     ok_exp = chars.series_exp(ztilde.coeffs, args.d_max) == dict(zhat.coeffs)
     ok_log = dict(
@@ -738,6 +763,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_probe_g3(args) -> int:
+    _at_least("--max-prime", args.max_prime, 5)
     primes = [p for p in formulas.primes_up_to(args.max_prime) if p >= 5]
     rows = formulas.g3_slope_probe(primes)
     for row in rows:

@@ -22,18 +22,15 @@ in the coset of its representative).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .perms import (
     Partition,
     Perm,
     centralizer_elements,
-    centralizer_gens,
     centralizer_order,
     class_elements,
     classify_group,
@@ -43,7 +40,6 @@ from .perms import (
     cycle_string,
     cycle_type,
     cycles,
-    identity,
     inverse,
     is_transitive,
     partition_sign,
@@ -54,9 +50,8 @@ from .perms import (
 
 DEFAULT_MAX_DEGREE = 9
 
-# centralizers up to this order are materialized once per cycle type; the
-# minimum-in-orbit search then scans them with early abort, which beats a
-# breadth-first orbit walk except when the centralizer is huge
+# centralizers up to this order are kept in memory once per cycle type;
+# larger ones are streamed afresh on every scan (see _TypeContext.pairs)
 _MATERIALIZE_LIMIT = 60_000
 
 
@@ -151,36 +146,39 @@ class RamificationProfile:
 
 @dataclass(frozen=True)
 class _TypeContext:
-    """Cached data for one beta cycle type: the fixed representative, its
-    centralizer generators (with inverses precomputed) and, when small
-    enough, the materialized centralizer."""
+    """Cached data for one beta cycle type: the fixed representative and
+    the order of its centralizer C(beta0), which :meth:`pairs` scans."""
 
     parts: Partition
     rep: Perm
-    gens: tuple[Perm, ...]
     order: int
-    elements: Optional[tuple[tuple[Perm, Perm], ...]]  # (z, z^-1) pairs
+
+    def pairs(self) -> Iterable[tuple[Perm, Perm]]:
+        """Every (z, z^-1) with z in C(beta0): the cached tuple when the
+        centralizer is small enough to keep, else a fresh stream."""
+        if self.order > _MATERIALIZE_LIMIT:
+            return ((z, inverse(z)) for z in centralizer_elements(self.parts))
+        return self._cached_pairs
+
+    @cached_property
+    def _cached_pairs(self) -> tuple[tuple[Perm, Perm], ...]:
+        pairs = tuple((z, inverse(z)) for z in centralizer_elements(self.parts))
+        if len(pairs) != self.order:
+            raise ConsistencyError("centralizer enumeration size mismatch")
+        return pairs
 
 
 @lru_cache(maxsize=None)
 def _type_context(parts: Partition) -> _TypeContext:
-    rep = type_rep(parts)
-    gens = tuple(centralizer_gens(parts))
-    order = centralizer_order(parts)
-    elements = None
-    if order <= _MATERIALIZE_LIMIT:
-        elements = tuple((z, inverse(z)) for z in centralizer_elements(parts))
-        if len(elements) != order:
-            raise ConsistencyError("centralizer enumeration size mismatch")
-    return _TypeContext(parts, rep, gens, order, elements)
+    return _TypeContext(parts, type_rep(parts), centralizer_order(parts))
 
 
 def _min_over_elements(alpha: Perm, ctx: _TypeContext) -> Perm:
-    """Smallest conjugate of alpha under the materialized centralizer,
-    compared lexicographically with early abort."""
+    """Smallest conjugate of alpha under the centralizer, compared
+    lexicographically with early abort."""
     d = len(alpha)
     best = list(alpha)
-    for z, zinv in ctx.elements:  # type: ignore[union-attr]
+    for z, zinv in ctx.pairs():
         for x in range(d):
             v = z[alpha[zinv[x]]]
             b = best[x]
@@ -191,26 +189,6 @@ def _min_over_elements(alpha: Perm, ctx: _TypeContext) -> Perm:
                 best = cand
                 break
     return tuple(best)
-
-
-def _orbit_min(alpha: Perm, ctx: _TypeContext) -> tuple[set[Perm], Perm]:
-    """Breadth-first orbit of alpha under centralizer conjugation; returns
-    the orbit set and its lexicographic minimum."""
-    seen = {alpha}
-    best = alpha
-    frontier = [alpha]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in ctx.gens:
-                c = conjugate(g, a)
-                if c not in seen:
-                    seen.add(c)
-                    if c < best:
-                        best = c
-                    nxt.append(c)
-        frontier = nxt
-    return seen, best
 
 
 def canonical_pair(alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
@@ -224,10 +202,7 @@ def canonical_pair(alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
         t = conjugating_element(beta, ctx.rep)
         assert t is not None
         alpha = conjugate(t, alpha)
-    if ctx.elements is not None:
-        return _min_over_elements(alpha, ctx), ctx.rep
-    _, best = _orbit_min(alpha, ctx)
-    return best, ctx.rep
+    return _min_over_elements(alpha, ctx), ctx.rep
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +246,11 @@ class CoverClass:
     def stabilizer_order(self) -> int:
         """Number of simultaneous self-conjugations of the pair."""
         ctx = _type_context(self.beta_type)
-        orbit, _ = _orbit_min(self.alpha, ctx)
-        if ctx.order % len(orbit):
-            raise ConsistencyError("orbit size does not divide centralizer order")
-        return ctx.order // len(orbit)
+        a = self.alpha  # count the z in C(beta) with z a = a z
+        count = sum([z[x] for x in a] == [a[x] for x in z] for z, _ in ctx.pairs())
+        if ctx.order % count:
+            raise ConsistencyError("stabilizer order does not divide centralizer order")
+        return count
 
     @cached_property
     def group_kind(self) -> str:
@@ -372,12 +348,8 @@ def _coset_solutions(
         a0 = conjugating_element(beta0, delta)
         if a0 is None:  # same type; cannot happen
             raise ConsistencyError("missing conjugator for matching types")
-        if ctx.elements is not None:
-            for z, _ in ctx.elements:
-                yield compose(a0, z)
-        else:
-            for z in centralizer_elements(ctx.parts):
-                yield compose(a0, z)
+        for z, _ in ctx.pairs():
+            yield compose(a0, z)
 
 
 def _connectivity_test(beta0: Perm) -> Callable[[Perm], bool]:
@@ -408,26 +380,17 @@ def _connectivity_test(beta0: Perm) -> Callable[[Perm], bool]:
 
 def _coset_reps(
     ctx: _TypeContext,
-    gamma: Perm,
     a0: Perm,
-    orbit_size: int,
+    stab: Sequence[tuple[Perm, Perm]],
     connected: Callable[[Perm], bool],
 ) -> list[Perm]:
-    """Canonical alphas of the classes meeting the coset ``a0 C(beta0)`` of
-    gamma, using the materialized centralizer: each class meets the coset
-    in one orbit of Stab(gamma), so each is canonicalized once."""
-    elements = ctx.elements
-    assert elements is not None
-    stab = [
-        (z, zinv) for z, zinv in elements
-        if [z[g] for g in gamma] == [gamma[x] for x in z]
-    ]
-    if orbit_size * len(stab) != ctx.order:
-        raise ConsistencyError("gamma orbit and stabilizer sizes do not match")
-    points = range(len(gamma))
+    """Canonical alphas of the classes meeting the coset ``a0 C(beta0)``:
+    each class meets the coset in one orbit of ``stab`` (the (s, s^-1)
+    pairs of Stab(gamma)), so each is canonicalized once."""
+    points = range(len(a0))
     seen: set[Perm] = set()
     reps = []
-    for z, _ in elements:
+    for z, _ in ctx.pairs():
         alpha = tuple([a0[x] for x in z])
         if alpha in seen or not connected(alpha):
             continue
@@ -437,28 +400,11 @@ def _coset_reps(
     return reps
 
 
-def _coset_reps_bfs(
-    ctx: _TypeContext, a0: Perm, connected: Callable[[Perm], bool]
-) -> list[Perm]:
-    """As :func:`_coset_reps` for a centralizer too large to materialize:
-    each new transitive alpha's whole C(beta0)-orbit is walked breadth-first
-    and marked seen."""
-    seen: set[Perm] = set()
-    reps = []
-    for z in centralizer_elements(ctx.parts):
-        alpha = tuple([a0[x] for x in z])
-        if alpha in seen or not connected(alpha):
-            continue
-        orbit, best = _orbit_min(alpha, ctx)
-        seen |= orbit
-        reps.append(best)
-    return reps
-
-
 def _classes_for_type(ctx: _TypeContext, gammas: Sequence[Perm]) -> list[CoverClass]:
     """Cover classes with beta = ctx.rep whose commutator lies in
     ``gammas`` (one whole conjugacy class), sorted by alpha."""
     beta0 = ctx.rep
+    points = range(len(beta0))
     connected = _connectivity_test(beta0)
     seen_gamma: set[Perm] = set()
     reps: list[Perm] = []
@@ -468,19 +414,21 @@ def _classes_for_type(ctx: _TypeContext, gammas: Sequence[Perm]) -> list[CoverCl
         delta = tuple([gamma[x] for x in beta0])
         if cycle_type(delta) != ctx.parts:
             continue
-        orbit, _ = _orbit_min(gamma, ctx)
-        seen_gamma |= orbit
         a0 = conjugating_element(beta0, delta)
         if a0 is None:  # same type; cannot happen
             raise ConsistencyError("missing conjugator for matching types")
-        if ctx.elements is not None:
-            reps.extend(_coset_reps(ctx, gamma, a0, len(orbit), connected))
-        else:
-            if ctx.order % len(orbit):
-                raise ConsistencyError(
-                    "gamma orbit size does not divide centralizer order"
-                )
-            reps.extend(_coset_reps_bfs(ctx, a0, connected))
+        # one pass over C(beta0) gives gamma's orbit and its stabilizer
+        orbit: set[Perm] = set()
+        stab = []
+        for z, zinv in ctx.pairs():
+            c = tuple([z[gamma[zinv[x]]] for x in points])
+            orbit.add(c)
+            if c == gamma:
+                stab.append((z, zinv))
+        if len(orbit) * len(stab) != ctx.order:
+            raise ConsistencyError("gamma orbit and stabilizer sizes do not match")
+        seen_gamma |= orbit
+        reps.extend(_coset_reps(ctx, a0, stab, connected))
     reps.sort()
     return [CoverClass(a, beta0) for a in reps]
 

@@ -419,57 +419,40 @@ def centralizer_order(parts: Partition) -> int:
     return out
 
 
-def centralizer_gens(parts: Partition) -> list[Perm]:
-    """Generators of the centralizer of ``type_rep(parts)``: one rotation
-    per block of cycles plus adjacent swaps of equal-length cycles."""
-    d = sum(parts)
-    gens: list[Perm] = []
-    for l, blocks in _length_blocks(parts):
-        if l > 1:
-            rot = list(range(d))
-            first = blocks[0]
-            for i in range(l):
-                rot[first[i]] = first[(i + 1) % l]
-            gens.append(tuple(rot))
-        for b1, b2 in zip(blocks, blocks[1:]):
-            swap = list(range(d))
-            for x, y in zip(b1, b2):
-                swap[x], swap[y] = y, x
-            gens.append(tuple(swap))
-    return gens
-
-
 def centralizer_elements(parts: Partition) -> Iterator[Perm]:
     """Yield all elements of the centralizer of ``type_rep(parts)``.
 
     An element rotates each cycle and permutes the cycles inside every
     equal-length block; the iterator walks the direct product of those
-    wreath products.
+    wreath products block by block, holding no block's maps in memory.
     """
     d = sum(parts)
     blocks = _length_blocks(parts)
 
-    def block_maps(l: int, cycs: list[list[int]]) -> Iterator[list[tuple[int, int]]]:
-        a = len(cycs)
-        for perm in itertools.permutations(range(a)):
-            for rots in itertools.product(range(l), repeat=a):
-                mapping = []
-                for j in range(a):
-                    src = cycs[j]
-                    dst = cycs[perm[j]]
-                    r = rots[j]
-                    for i in range(l):
-                        mapping.append((src[i], dst[(i + r) % l]))
-                yield mapping
-        return
+    def block_images(l: int, cycs: list[list[int]]) -> Iterator[Sequence[int]]:
+        """Images of the block's points, in order, under each of its maps:
+        cycle j goes to cycle perm[j], turned by rots[j]."""
+        if l == 1:
+            yield from itertools.permutations([c[0] for c in cycs])
+            return
+        turns = [[c[r:] + c[:r] for r in range(l)] for c in cycs]
+        for perm in itertools.permutations(range(len(cycs))):
+            for rots in itertools.product(range(l), repeat=len(cycs)):
+                yield [x for k, r in zip(perm, rots) for x in turns[k][r]]
 
-    iters = [list(block_maps(l, cycs)) for l, cycs in blocks]
-    for combo in itertools.product(*iters):
-        out = list(range(d))
-        for mapping in combo:
-            for src, dst in mapping:
-                out[src] = dst
-        yield tuple(out)
+    out = list(range(d))
+
+    def fill(i: int) -> Iterator[Perm]:  # blocks are consecutive point ranges
+        if i == len(blocks):
+            yield tuple(out)
+            return
+        l, cycs = blocks[i]
+        span = slice(cycs[0][0], cycs[-1][-1] + 1)
+        for image in block_images(l, cycs):
+            out[span] = image
+            yield from fill(i + 1)
+
+    return fill(0)
 
 
 # ---------------------------------------------------------------------------

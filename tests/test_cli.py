@@ -310,7 +310,10 @@ def test_cache_value_of_wrong_shape_is_a_miss(tmp_path, capsys):
         run(cached, capsys)
         path = tmp_path / str(n) / "results.jsonl"
         good = [json.loads(line) for line in path.read_text().splitlines()]
-        for bad in ({"N": 1}, [1]):
+        bads = [{"N": 1}, [1]]
+        if argv[0] == "counts":  # one record; its types list holds a non-dict
+            bads.append(dict(good[0]["value"], types=[1]))
+        for bad in bads:
             path.write_text("".join(
                 json.dumps({"key": r["key"], "value": bad}) + "\n" for r in good
             ))
@@ -319,6 +322,23 @@ def test_cache_value_of_wrong_shape_is_a_miss(tmp_path, capsys):
             # the recomputed values were stored again
             cache = ResultCache(path)
             assert all(cache.get(r["key"]) == r["value"] for r in good)
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["characters", "--d", "-2"], "--d"),
+        (["genfun-check", "--d-max", "-1"], "--d-max"),
+        (["probe-g3", "--max-prime", "-5"], "--max-prime"),
+        (["sweep", "--d-range", "5..3", "--sigma", "3"], "--d-range"),
+        (["enumerate", "--d", "-2", "--sigma", "3"], "--d"),
+    ],
+    ids=["characters", "genfun-check", "probe-g3", "sweep", "enumerate"],
+)
+def test_empty_or_non_positive_range_is_exit_2(argv, option, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert option in err.split()
 
 
 def test_cache_unreadable_path_is_exit_4(tmp_path, capsys):

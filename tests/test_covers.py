@@ -4,11 +4,13 @@ bucket them into simultaneous-conjugation orbits by brute force.  The
 library must agree with it exactly on every count."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from toruscovers import covers
 from toruscovers.covers import (
     CapacityError,
     CoverClass,
@@ -107,6 +109,41 @@ def test_orbit_walk_matches_raw_coset_walk():
                     expected.extend(sorted(canon))
             got = [(c.alpha, c.beta) for c in enumerate_classes(d, prof)]
             assert got == expected, (d, sigma)
+
+
+def _classes_with_probes(rng):
+    """Per sigma at d <= 6: each class, its stabilizer order, and the
+    canonical pair of one random simultaneous conjugate."""
+    out = {}
+    for d in range(1, 7):
+        perms = _all_perms(d)
+        for sigma in partitions(d):
+            rows = []
+            for c in enumerate_classes(d, RamificationProfile.of(d, sigma)):
+                t = rng.choice(perms)
+                probe = canonical_pair(conjugate(t, c.alpha), conjugate(t, c.beta))
+                rows.append((c, c.stabilizer_order, probe))
+            out[d, sigma] = rows
+    return out
+
+
+def test_streamed_centralizer_matches_cached(monkeypatch):
+    # every centralizer streamed afresh on each scan gives what the cached
+    # tuples give: the same classes, canonical forms and stabilizer orders
+    _type_context.cache_clear()
+    cached = _classes_with_probes(random.Random(6))
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(covers, "_MATERIALIZE_LIMIT", 0)
+            _type_context.cache_clear()
+            streamed = _classes_with_probes(random.Random(6))
+    finally:
+        _type_context.cache_clear()
+    assert streamed == cached
+    assert sum(len(rows) for rows in cached.values()) == 758
+    assert all(
+        (c.alpha, c.beta) == probe for rows in cached.values() for c, _, probe in rows
+    )
 
 
 def test_canonical_pair_is_conjugation_invariant():
@@ -257,11 +294,18 @@ def test_enumeration_order_is_deterministic():
     assert types == sorted(types, key=order.get)
 
 
-def test_stabilizer_orbit_relation():
+@pytest.mark.parametrize(
+    "d,sigma,n_classes,stab_sum",
+    [(4, "3", 9, 9), (6, "2,2", 88, 104), (6, "3,3", 126, 207)],
+    ids=["4-3", "6-2,2", "6-3,3"],
+)
+def test_stabilizer_orbit_relation(d, sigma, n_classes, stab_sum):
     # |class orbit| * |stabilizer| = d! for every class (orbit-stabilizer)
-    d = 4
-    prof = RamificationProfile.of(d, "3")
+    prof = RamificationProfile.of(d, sigma)
     perms = _all_perms(d)
-    for c in enumerate_classes(d, prof):
+    classes = enumerate_classes(d, prof)
+    for c in classes:
         orbit = {(conjugate(t, c.alpha), conjugate(t, c.beta)) for t in perms}
         assert len(orbit) * c.stabilizer_order == factorial(d)
+    assert len(classes) == n_classes
+    assert sum(c.stabilizer_order for c in classes) == stab_sum
