@@ -40,6 +40,10 @@ from .perms import (
 
 Key = tuple[Partition, int]
 
+# largest degree of a full character table, which holds p(d)^2
+# Murnaghan-Nakayama values (53,361 at d = 16, 148,225 at d = 18)
+MAX_TABLE_DEGREE = 16
+
 
 # ---------------------------------------------------------------------------
 # Murnaghan-Nakayama recursion over border strips, in beta-number form
@@ -131,6 +135,7 @@ class CharacterTable:
 
     @classmethod
     def build(cls, degree: int) -> "CharacterTable":
+        check_capacity(degree, MAX_TABLE_DEGREE, "character-table")
         shapes = tuple(partitions(degree))
         values = {
             (s, c): character_value(s, c) for s in shapes for c in shapes

@@ -24,6 +24,7 @@ from .covers import (
     CapacityError,
     CoverClass,
     RamificationProfile,
+    check_capacity,
     count_table,
     enumerate_classes,
 )
@@ -249,6 +250,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_counts(args) -> int:
+    if args.method == "formula":
+        check_capacity(args.d, formulas.MAX_CLOSED_FORM_DEGREE, "closed-form")
     prof = _profile(args)
     cache = _cache_from_args(args)
     key = {
@@ -764,6 +767,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_probe_g3(args) -> int:
     _at_least("--max-prime", args.max_prime, 5)
+    check_capacity(args.max_prime, formulas.MAX_CLOSED_FORM_DEGREE, "closed-form")
     primes = [p for p in formulas.primes_up_to(args.max_prime) if p >= 5]
     rows = formulas.g3_slope_probe(primes)
     for row in rows:

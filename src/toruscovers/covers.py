@@ -63,11 +63,14 @@ class ConsistencyError(RuntimeError):
     """Raised when an internal cross-check fails (should never happen)."""
 
 
-def check_capacity(degree: int, max_degree: int = DEFAULT_MAX_DEGREE) -> None:
-    """Raise CapacityError when ``degree`` exceeds the brute-force bound."""
+def check_capacity(
+    degree: int, max_degree: int = DEFAULT_MAX_DEGREE, kind: str = "enumeration"
+) -> None:
+    """Raise CapacityError when ``degree`` exceeds the bound for one kind
+    of work (by default brute-force enumeration)."""
     if degree > max_degree:
         raise CapacityError(
-            f"degree {degree} exceeds the enumeration bound {max_degree}"
+            f"degree {degree} exceeds the {kind} bound {max_degree}"
         )
 
 
@@ -378,10 +381,26 @@ def _connectivity_test(beta0: Perm) -> Callable[[Perm], bool]:
     return connected
 
 
+@dataclass(frozen=True)
+class _StabilizerScan:
+    """Every (s, s^-1) with s in Stab(gamma) of C(beta0), read afresh
+    from :meth:`_TypeContext.pairs` on each iteration."""
+
+    ctx: _TypeContext
+    gamma: Perm
+
+    def __iter__(self) -> Iterator[tuple[Perm, Perm]]:
+        gamma = self.gamma
+        points = range(len(gamma))
+        for z, zinv in self.ctx.pairs():
+            if tuple([z[gamma[zinv[x]]] for x in points]) == gamma:
+                yield z, zinv
+
+
 def _coset_reps(
     ctx: _TypeContext,
     a0: Perm,
-    stab: Sequence[tuple[Perm, Perm]],
+    stab: Iterable[tuple[Perm, Perm]],
     connected: Callable[[Perm], bool],
 ) -> list[Perm]:
     """Canonical alphas of the classes meeting the coset ``a0 C(beta0)``:
@@ -417,17 +436,24 @@ def _classes_for_type(ctx: _TypeContext, gammas: Sequence[Perm]) -> list[CoverCl
         a0 = conjugating_element(beta0, delta)
         if a0 is None:  # same type; cannot happen
             raise ConsistencyError("missing conjugator for matching types")
-        # one pass over C(beta0) gives gamma's orbit and its stabilizer
+        # one pass over C(beta0) gives gamma's orbit and its stabilizer;
+        # a stabilizer too large to keep is scanned out of C(beta0) again
         orbit: set[Perm] = set()
-        stab = []
+        kept: Optional[list[tuple[Perm, Perm]]] = []
+        stab_order = 0
         for z, zinv in ctx.pairs():
             c = tuple([z[gamma[zinv[x]]] for x in points])
             orbit.add(c)
             if c == gamma:
-                stab.append((z, zinv))
-        if len(orbit) * len(stab) != ctx.order:
+                stab_order += 1
+                if kept is not None:
+                    kept.append((z, zinv))
+                    if len(kept) > _MATERIALIZE_LIMIT:
+                        kept = None
+        if len(orbit) * stab_order != ctx.order:
             raise ConsistencyError("gamma orbit and stabilizer sizes do not match")
         seen_gamma |= orbit
+        stab = kept if kept is not None else _StabilizerScan(ctx, gamma)
         reps.extend(_coset_reps(ctx, a0, stab, connected))
     reps.sort()
     return [CoverClass(a, beta0) for a in reps]

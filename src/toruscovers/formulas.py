@@ -22,18 +22,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import groupby
 from math import comb, gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .perms import Partition, partitions, type_weight
+from .covers import check_capacity
+from .perms import Partition, partitions
 
 Scalar = Union[int, Fraction]
+Sizes = Sequence[tuple[int, int]]  # (size, multiplicity) pairs, sizes descending
 
 FAMILIES = ("g2_31", "g2_22", "g3_5")
 
 _FAMILY_SIGMA = {"g2_31": "3", "g2_22": "2,2", "g3_5": "5"}
 _FAMILY_MIN_D = {"g2_31": 3, "g2_22": 4, "g3_5": 5}
+
+# largest degree of any closed form; the g3_5 assembly grows about as d^3
+MAX_CLOSED_FORM_DEGREE = 199
 
 
 def family_sigma(family: str) -> str:
@@ -47,6 +52,7 @@ def _check_family_degree(degree: int, family: str) -> None:
     family_sigma(family)
     if degree < _FAMILY_MIN_D[family]:
         raise ValueError(f"family {family} needs d >= {_FAMILY_MIN_D[family]}")
+    check_capacity(degree, MAX_CLOSED_FORM_DEGREE, "closed-form")
     if not is_prime(degree):
         raise ValueError(f"closed formulas need prime d, got {degree}")
 
@@ -250,14 +256,17 @@ def prime_convolution_value(degree: int) -> Fraction:
 def _two_size_solutions(degree: int) -> Iterator[tuple[int, int, int, int]]:
     """All (l1, a1, l2, a2) with a1 l1 + a2 l2 = degree, l1 > l2 >= 1,
     multiplicities >= 1: the partitions with exactly two part sizes."""
+    divisors: list[list[int]] = [[] for _ in range(degree)]
+    for l in range(1, degree):
+        for m in range(l, degree, l):
+            divisors[m].append(l)
     for l1 in range(2, degree):
-        for a1 in range(1, degree // l1 + 1):
+        for a1 in range(1, (degree - 1) // l1 + 1):
             rest = degree - a1 * l1
-            if rest < 1:
-                break
-            for l2 in range(1, l1):
-                if rest % l2 == 0:
-                    yield l1, a1, l2, rest // l2
+            for l2 in divisors[rest]:
+                if l2 >= l1:
+                    break
+                yield l1, a1, l2, rest // l2
 
 
 def sum_identity_l1l2(degree: int) -> tuple[int, Fraction]:
@@ -298,26 +307,13 @@ def _normalize_type(degree: int, beta_type: Sequence[int]) -> Partition:
 
 
 def _sizes_with_mult(parts: Partition) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for p in parts:
-        if out and out[-1][0] == p:
-            out[-1] = (p, out[-1][1] + 1)
-        else:
-            out.append((p, 1))
-    return out
+    return [(p, len(list(run))) for p, run in groupby(parts)]
 
 
-def per_type_N(degree: int, family: str, beta_type: Sequence[int]) -> int:
-    """The closed count of classes with the given beta cycle type, for
-    prime d.  Types the case analysis proves empty return 0; types it
-    never mentions (four or more distinct sizes) raise
-    UnclassifiedTypeError."""
-    _check_family_degree(degree, family)
-    parts = _normalize_type(degree, beta_type)
-    sizes = _sizes_with_mult(parts)
+def _count_sizes(degree: int, family: str, sizes: Sizes) -> int:
+    """The family's case analysis, on a beta type given as Sizes."""
     if len(sizes) == 1:
-        size = sizes[0][0]
-        if size == degree:  # the long cycle
+        if sizes[0][0] == degree:  # the long cycle
             if family == "g2_31":
                 return comb(degree, 3)
             if family == "g2_22":
@@ -334,30 +330,65 @@ def per_type_N(degree: int, family: str, beta_type: Sequence[int]) -> int:
             return 8 * (a1 - 1)
         if family == "g2_22":
             return l1 * l2 * (l1 - 2)
-        poly = (
-            3 * l1 * l1
-            + 3 * l2 * l2
-            - 19 * l1
-            - 11 * l2
-            + 4 * degree
-            + 22
-        )
-        value = Fraction(l1 * l2 * poly, 2)
-        if value.denominator != 1:
-            raise ArithmeticError(f"non-integral count for {parts}")
-        return int(value)
+        poly = 3 * l1 * l1 + 3 * l2 * l2 - 19 * l1 - 11 * l2 + 4 * degree + 22
+        twice = l1 * l2 * poly
+        if twice % 2:
+            raise ArithmeticError(f"non-integral count for sizes {list(sizes)}")
+        return twice // 2
     if len(sizes) == 3:
-        l1, l2, l3 = (s for s, _ in sizes)
+        (l1, _), (l2, _), (l3, _) = sizes
         if family == "g2_31":
             return 0
         if family == "g2_22":
             return l1 * l2 * l3 if l1 == l2 + l3 else 0
         return (7 if l1 == l2 + l3 else 11) * l1 * l2 * l3
-
-
     raise UnclassifiedTypeError(
-        f"{parts}: more than three distinct sizes is outside the case analysis"
+        f"{list(sizes)}: more than three distinct sizes is outside the case analysis"
     )
+
+
+def per_type_N(degree: int, family: str, beta_type: Sequence[int]) -> int:
+    """The closed count of classes with the given beta cycle type, for
+    prime d.  Types the case analysis proves empty return 0; types it
+    never mentions (four or more distinct sizes) raise
+    UnclassifiedTypeError."""
+    _check_family_degree(degree, family)
+    parts = _normalize_type(degree, beta_type)
+    return _count_sizes(degree, family, _sizes_with_mult(parts))
+
+
+def _admissible_sizes(degree: int, family: str) -> Iterator[Sizes]:
+    """The types of admissible_types, in the same order, as Sizes."""
+    yield ((degree, 1),)
+    for l1, a1, l2, a2 in _two_size_solutions(degree):
+        yield ((l1, a1), (l2, a2))
+    if family != "g2_31":  # three-size types are provably empty there
+        yield from _three_sizes(degree, family)
+
+
+def _three_sizes(degree: int, family: str) -> Iterator[Sizes]:
+    """The three-size part of _admissible_sizes for g2_22 and g3_5."""
+    for l2 in range(2, degree):
+        for l3 in range(1, l2):
+            room = degree - l2 - l3  # a1 l1 <= room leaves one l2 and one l3
+            l1_min = l2 + l3 if family == "g2_22" else l2 + 1
+            if l1_min > room:
+                break
+            l1_max = l1_min if family == "g2_22" else room
+            # a2 l2 = r1 (mod l3) holds on one residue class of a2 mod
+            # step, so only those a2 are visited, in increasing order
+            g = gcd(l2, l3)
+            step = l3 // g
+            inv = pow(l2 // g, -1, step)
+            for l1 in range(l1_min, l1_max + 1):
+                for a1 in range(1, room // l1 + 1):
+                    r1 = degree - a1 * l1
+                    if r1 % g:
+                        continue
+                    p1 = (l1, a1)
+                    first = (r1 // g * inv - 1) % step + 1
+                    for a2 in range(first, (r1 - l3) // l2 + 1, step):
+                        yield (p1, (l2, a2), (l3, (r1 - a2 * l2) // l3))
 
 
 def admissible_types(degree: int, family: str) -> Iterator[Partition]:
@@ -365,32 +396,8 @@ def admissible_types(degree: int, family: str) -> Iterator[Partition]:
     directly from the family's constraints -- never by listing all
     partitions of d, which is hopeless at d ~ 199."""
     _check_family_degree(degree, family)
-    yield (degree,)
-    for l1, a1, l2, a2 in _two_size_solutions(degree):
-        yield (l1,) * a1 + (l2,) * a2
-    if family == "g2_31":
-        return  # three-size types are provably empty there
-    for l2 in range(2, degree):
-        for l3 in range(1, l2):
-            if family == "g2_22":
-                l1_candidates: Iterable[int] = (l2 + l3,)
-            else:
-                l1_candidates = range(l2 + 1, degree)
-            for l1 in l1_candidates:
-                if l1 + l2 + l3 > degree:
-                    break
-                for a1 in range(1, (degree - l2 - l3) // l1 + 1):
-                    r1 = degree - a1 * l1
-                    if r1 < l2 + l3:
-                        break
-                    for a2 in range(1, (r1 - l3) // l2 + 1):
-                        r2 = r1 - a2 * l2
-                        if r2 < l3:
-                            break
-                        if r2 % l3 == 0:
-                            yield (
-                                (l1,) * a1 + (l2,) * a2 + (l3,) * (r2 // l3)
-                            )
+    for sizes in _admissible_sizes(degree, family):
+        yield tuple(l for l, a in sizes for _ in range(a))
 
 
 def assembled_N_M(
@@ -399,25 +406,27 @@ def assembled_N_M(
     """N and the weighted count M, assembled type by type from the
     closed per-type formulas.
 
-    For the g = 3 family at large d the generic type-by-type loop is
-    slow (it materializes every admissible partition), so an
-    algebraically identical integer aggregation is used instead once
-    d > 31; the two paths are cross-checked in the tests.  Pass
-    aggregated explicitly to force either path."""
+    Each admissible type is walked as its (size, multiplicity) pairs, in
+    integers: M is kept as count * multiplicity per cycle length l and
+    divided by l once at the end.  For g3_5 at d > 31 an algebraically
+    identical aggregation is faster still and is the default; the tests
+    cross-check the two.  Pass aggregated explicitly to force either path."""
+    _check_family_degree(degree, family)
     if aggregated is None:
         aggregated = family == "g3_5" and degree > 31
     if aggregated:
         if family != "g3_5":
             raise ValueError("aggregated assembly exists for g3_5 only")
-        _check_family_degree(degree, family)
         return _g3_fast_N_M(degree)
     N = 0
-    M = Fraction(0)
-    for parts in admissible_types(degree, family):
-        n = per_type_N(degree, family, parts)
+    per_len = [0] * (degree + 1)  # sum of count * multiplicity, by length
+    for sizes in _admissible_sizes(degree, family):
+        n = _count_sizes(degree, family, sizes)
         if n:
             N += n
-            M += type_weight(parts) * n
+            for l, a in sizes:
+                per_len[l] += n * a
+    M = sum((Fraction(c, l) for l, c in enumerate(per_len) if c), Fraction(0))
     return N, M
 
 
@@ -519,23 +528,10 @@ def gcd_sum_two_sizes(degree: int, weight_l1_minus_2: bool = False) -> int:
 
 def gcd_sum_three_sizes(degree: int) -> int:
     """sum over {a1 l1 + a2 l2 + a3 l3 = d, l1 = l2 + l3 > l2 > l3} of
-    gcd(l1,a1) gcd(l2,a2) gcd(l3,a3)."""
+    gcd(l1,a1) gcd(l2,a2) gcd(l3,a3): the three-size types of g2_22."""
     total = 0
-    for l2 in range(2, degree):
-        for l3 in range(1, l2):
-            l1 = l2 + l3
-            if l1 + l2 + l3 > degree:
-                break
-            for a1 in range(1, (degree - l2 - l3) // l1 + 1):
-                r1 = degree - a1 * l1
-                for a2 in range(1, (r1 - l3) // l2 + 1):
-                    r2 = r1 - a2 * l2
-                    if r2 < l3:
-                        break
-                    if r2 % l3 == 0:
-                        total += (
-                            gcd(l1, a1) * gcd(l2, a2) * gcd(l3, r2 // l3)
-                        )
+    for (l1, a1), (l2, a2), (l3, a3) in _three_sizes(degree, "g2_22"):
+        total += gcd(l1, a1) * gcd(l2, a2) * gcd(l3, a3)
     return total
 
 

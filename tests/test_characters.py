@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from toruscovers.characters import (
+    MAX_TABLE_DEGREE,
     CharacterTable,
     build_generating_functions,
     character_degree,
@@ -16,7 +17,7 @@ from toruscovers.characters import (
     series_log,
     tau_type,
 )
-from toruscovers.covers import weighted_count
+from toruscovers.covers import CapacityError, weighted_count
 from toruscovers.perms import (
     commutator,
     cycle_type,
@@ -69,6 +70,12 @@ def test_conjugate_shape_symmetry():
             assert character_value(conj(s), mu) == partition_sign(
                 mu
             ) * character_value(s, mu)
+
+
+def test_character_table_past_its_bound_raises_capacity_error():
+    assert MAX_TABLE_DEGREE == 16
+    with pytest.raises(CapacityError, match="character-table bound 16"):
+        CharacterTable.build(17)
 
 
 def test_character_table_orthogonality():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from toruscovers import characters, formulas
 from toruscovers.cli import (
     CACHE_VERSION,
     CacheError,
@@ -339,6 +340,27 @@ def test_empty_or_non_positive_range_is_exit_2(argv, option, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert option in err.split()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["characters", "--d", "17"],
+        ["counts", "--d", "211", "--sigma", "3", "--method", "formula"],
+        ["probe-g3", "--max-prime", "211"],
+    ],
+    ids=["characters", "counts-formula", "probe-g3"],
+)
+def test_degree_past_its_bound_is_exit_3_before_any_work(argv, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the capacity bound")
+
+    monkeypatch.setattr(characters, "partitions", no_work)
+    monkeypatch.setattr(formulas, "assembled_N_M", no_work)
+    monkeypatch.setattr(formulas, "primes_up_to", no_work)
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert "bound" in err
 
 
 def test_cache_unreadable_path_is_exit_4(tmp_path, capsys):

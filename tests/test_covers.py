@@ -128,19 +128,32 @@ def _classes_with_probes(rng):
 
 
 def test_streamed_centralizer_matches_cached(monkeypatch):
-    # every centralizer streamed afresh on each scan gives what the cached
-    # tuples give: the same classes, canonical forms and stabilizer orders
+    # every centralizer and every Stab(gamma) streamed afresh on each scan
+    # gives what the cached tuples and lists give: the same classes,
+    # canonical forms and stabilizer orders
+    scans = []
+    real_scan = covers._StabilizerScan
+
+    def recording_scan(ctx, gamma):
+        scans.append(gamma == tuple(range(len(gamma))))
+        return real_scan(ctx, gamma)
+
     _type_context.cache_clear()
     cached = _classes_with_probes(random.Random(6))
     try:
         with monkeypatch.context() as m:
             m.setattr(covers, "_MATERIALIZE_LIMIT", 0)
+            m.setattr(covers, "_StabilizerScan", recording_scan)
             _type_context.cache_clear()
             streamed = _classes_with_probes(random.Random(6))
     finally:
         _type_context.cache_clear()
     assert streamed == cached
     assert sum(len(rows) for rows in cached.values()) == 758
+    # the trivial sigma, whose gamma (the identity) is central, is among
+    # the cases, and stabilizers of central and other gammas were scanned
+    assert all(len(cached[d, (1,) * d]) > 0 for d in range(1, 7))
+    assert set(scans) == {True, False}
     assert all(
         (c.alpha, c.beta) == probe for rows in cached.values() for c, _, probe in rows
     )

@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from toruscovers.covers import RamificationProfile, enumerate_classes
+from toruscovers.covers import CapacityError, RamificationProfile, enumerate_classes
 from toruscovers.formulas import (
+    MAX_CLOSED_FORM_DEGREE,
     QSeries,
     UnclassifiedTypeError,
     admissible_types,
@@ -27,6 +29,7 @@ from toruscovers.formulas import (
     ramanujan_check,
     sum_identity_l1l2,
 )
+from toruscovers.perms import type_weight
 
 # Frozen from direct enumeration (degree 7, all transitive classes up to
 # simultaneous conjugation, bucketed by the cycle type of beta).
@@ -161,17 +164,64 @@ def test_assembled_totals():
 
 def test_closed_totals_match_assembly_at_many_primes():
     for family in ("g2_31", "g2_22"):
-        for d in primes_up_to(31):
+        for d in primes_up_to(199):
             if d < 5:
                 continue
             assert closed_N_M(d, family) == assembled_N_M(d, family)
 
 
 def test_g3_fast_aggregation_matches_generic():
-    for d in (11, 13):
+    for d in primes_up_to(61):
+        if d < 5:
+            continue
         generic = assembled_N_M(d, "g3_5", aggregated=False)
         fast = assembled_N_M(d, "g3_5", aggregated=True)
-        assert generic == fast
+        assert generic == fast, d
+
+
+def _assembled_by_partitions(degree, family):
+    """N and M summed over the expanded partitions with one Fraction
+    weight per type: a slower, independent assembly to check against."""
+    N, M = 0, Fraction(0)
+    for parts in admissible_types(degree, family):
+        n = per_type_N(degree, family, parts)
+        N += n
+        M += type_weight(parts) * n
+    return N, M
+
+
+@pytest.mark.parametrize(
+    "family,max_prime", [("g2_31", 113), ("g2_22", 113), ("g3_5", 61)]
+)
+def test_assembly_matches_partition_oracle(family, max_prime):
+    for d in primes_up_to(max_prime):
+        if d < 5:
+            continue
+        assert assembled_N_M(d, family, aggregated=False) == (
+            _assembled_by_partitions(d, family)
+        ), d
+
+
+# SHA-256 of repr(list(admissible_types(13, family))): pins which types
+# the walk yields and in what order
+ADMISSIBLE_13_SHA256 = {
+    "g2_31": "f2c89662b895c7752348086d506fb0bc01e90a6bb9de2b822adbfd227f18bd65",
+    "g2_22": "e78b97e9acf70ad18b7e2415679b3ac42a63046d0f9a51645da608ecd1a8beeb",
+    "g3_5": "eda85b4fedd9315cccaee4836da41e9db0fbbeebee4e820c9d00b0f3c9afcea6",
+}
+
+
+@pytest.mark.parametrize("family", sorted(ADMISSIBLE_13_SHA256))
+def test_admissible_types_order_is_frozen(family):
+    text = repr(list(admissible_types(13, family)))
+    assert hashlib.sha256(text.encode()).hexdigest() == ADMISSIBLE_13_SHA256[family]
+
+
+def test_closed_forms_past_their_bound_raise_capacity_error():
+    assert MAX_CLOSED_FORM_DEGREE == 199
+    for call in (assembled_N_M, closed_N_M, genus_closed, admissible_types):
+        with pytest.raises(CapacityError):
+            list(call(211, "g2_31"))
 
 
 def test_gcd_sums_frozen_values():
