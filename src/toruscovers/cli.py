@@ -2,7 +2,7 @@
 verification bundles, sweeps with a JSONL result cache, and renders.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 capacity exceeded, 4 cache corruption.
+3 capacity exceeded, 4 cache corruption, 5 internal error.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from . import characters as chars
 from . import formulas
 from . import origami
 from .covers import (
+    DEFAULT_MAX_DEGREE,
     CapacityError,
     CoverClass,
     RamificationProfile,
@@ -36,6 +37,7 @@ EXIT_VERIFY = 1
 EXIT_INVALID = 2
 EXIT_CAPACITY = 3
 EXIT_CACHE = 4
+EXIT_INTERNAL = 5
 
 CACHE_VERSION = 2
 CACHE_DIR_ENV = "TORUSCOVERS_CACHE_DIR"
@@ -155,8 +157,16 @@ def _counts_ok(value) -> bool:
 # shared plumbing
 
 
-def _profile(args) -> RamificationProfile:
+def _profile(
+    args, max_degree: Optional[int] = None, kind: str = "enumeration"
+) -> RamificationProfile:
+    """The profile of --d and --sigma.  --d is held to the command's
+    degree bound first (``--max-degree`` unless another is given), so an
+    oversized degree exits 3 before anything of size d is built."""
     _at_least("--d", args.d, 1)
+    if max_degree is None:
+        max_degree = getattr(args, "max_degree", DEFAULT_MAX_DEGREE)
+    check_capacity(args.d, max_degree, kind)
     try:
         return RamificationProfile.of(args.d, args.sigma)
     except (ValueError, TypeError) as e:
@@ -250,9 +260,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_counts(args) -> int:
-    if args.method == "formula":
-        check_capacity(args.d, formulas.MAX_CLOSED_FORM_DEGREE, "closed-form")
-    prof = _profile(args)
+    formula = args.method == "formula"
+    if formula:
+        prof = _profile(args, formulas.MAX_CLOSED_FORM_DEGREE, "closed-form")
+    else:
+        prof = _profile(args)
     cache = _cache_from_args(args)
     key = {
         "d": args.d,
@@ -262,7 +274,7 @@ def cmd_counts(args) -> int:
     }
     payload = cache.get(key) if cache else None
     if not _counts_ok(payload):
-        if args.method == "formula":
+        if formula:
             payload = _counts_via_formula(args.d, prof)
             if payload is None:
                 return _fail(
@@ -959,6 +971,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise
     except (ValueError, TypeError) as e:
         return _fail(EXIT_INVALID, str(e))
+    except Exception as e:  # a defect, never a verdict: exit 1 means FAIL only
+        return _fail(EXIT_INTERNAL, f"internal: {type(e).__name__}: {e}")
 
 
 if __name__ == "__main__":

@@ -708,11 +708,13 @@ def g3_slope(N: int, M: Fraction) -> Fraction:
 
 def g3_slope_probe(primes: Iterable[int]) -> list[dict]:
     """Exact (d, N, M, slope) rows over the given primes, from the
-    closed per-type assembly."""
+    closed per-type assembly.  The largest prime is held to the
+    closed-form bound before any row is computed."""
+    primes = [d for d in primes if d >= 5]
+    if primes:
+        check_capacity(max(primes), MAX_CLOSED_FORM_DEGREE, "closed-form")
     rows = []
     for d in primes:
-        if d < 5:
-            continue
         N, M = assembled_N_M(d, "g3_5")
         rows.append(
             {"d": d, "N": N, "M": str(M), "slope": str(g3_slope(N, M))}

@@ -26,13 +26,13 @@ from .covers import CoverClass
 from .monodromy import _image_pair, action_images
 from .perms import (
     Perm,
-    classify_group,
     cycle_string,
     cycle_type,
     cycles,
     commutator,
     is_transitive,
     orbits,
+    sign,
 )
 
 
@@ -167,18 +167,26 @@ def ur_orbits(classes: Sequence[CoverClass]) -> list[tuple[int, ...]]:
 def weierstrass_parity(cover: CoverClass) -> int:
     """Number of integer Weierstrass points of a genus-2 one-point cover
     with branching (3, 1^(d-3)): 1 when the pair generates the full
-    symmetric group, 3 when it generates the alternating group."""
+    symmetric group, 3 when it generates the alternating group.
+
+    No group order is needed.  The commutator is a 3-cycle, so it cannot
+    carry a block of size >= 2 onto another block: it fixes every block
+    of <alpha, beta>, and a nontrivial block system makes the cover
+    factor through an unramified cover of the base, an isogeny.  So a
+    transitive pair generates a primitive group exactly when the cover
+    is primitive (period-lattice index 1), and a primitive group holding
+    a 3-cycle contains A_d (Jordan's theorem): it is S_d when alpha or
+    beta is odd, A_d otherwise.  Imprimitive and intransitive groups are
+    neither."""
     nontrivial = tuple(l for l in cover.commutator_type if l >= 2)
     if nontrivial != (3,):
         raise ValueError(
             "parity invariant is defined for the (3, 1^(d-3)) family only"
         )
-    kind = classify_group([cover.alpha, cover.beta], len(cover.alpha))
-    if kind == "symmetric":
-        return 1
-    if kind == "alternating":
-        return 3
-    raise ValueError("pair generates neither S_d nor A_d")
+    pair = [cover.alpha, cover.beta]
+    if not (is_transitive(pair, cover.degree) and cover.is_primitive):
+        raise ValueError("pair generates neither S_d nor A_d")
+    return 1 if sign(cover.alpha) < 0 or sign(cover.beta) < 0 else 3
 
 
 # ---------------------------------------------------------------------------

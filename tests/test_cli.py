@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from toruscovers import characters, formulas
+from toruscovers import characters, cli, formulas
+from toruscovers.covers import ConsistencyError
 from toruscovers.cli import (
     CACHE_VERSION,
     CacheError,
@@ -348,8 +350,16 @@ def test_empty_or_non_positive_range_is_exit_2(argv, option, capsys):
         ["characters", "--d", "17"],
         ["counts", "--d", "211", "--sigma", "3", "--method", "formula"],
         ["probe-g3", "--max-prime", "211"],
+        ["enumerate", "--d", "3000000", "--sigma", "3", "--max-degree", "8"],
+        ["counts", "--d", "300000", "--sigma", "3"],
+        ["slope", "--d", "300000", "--sigma", "2,2"],
+        ["components", "--d", "300000", "--sigma", "3"],
+        ["genus", "--d", "300000", "--sigma", "3"],
+        ["orbifold", "--d", "300000", "--sigma", "3"],
+        ["origami", "render", "--d", "300000", "--sigma", "3"],
     ],
-    ids=["characters", "counts-formula", "probe-g3"],
+    ids=["characters", "counts-formula", "probe-g3", "enumerate", "counts",
+         "slope", "components", "genus", "orbifold", "origami-render"],
 )
 def test_degree_past_its_bound_is_exit_3_before_any_work(argv, capsys, monkeypatch):
     def no_work(*args, **kwargs):
@@ -358,9 +368,31 @@ def test_degree_past_its_bound_is_exit_3_before_any_work(argv, capsys, monkeypat
     monkeypatch.setattr(characters, "partitions", no_work)
     monkeypatch.setattr(formulas, "assembled_N_M", no_work)
     monkeypatch.setattr(formulas, "primes_up_to", no_work)
-    code, out, err = run(argv, capsys)
+    # nothing of size d (such as the length-d profile) may be built first
+    tracemalloc.start()
+    try:
+        code, out, err = run(argv, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert code == 3 and out == ""
     assert "bound" in err
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "error", [RuntimeError("boom"), ConsistencyError("cross-check failed")],
+    ids=["RuntimeError", "ConsistencyError"],
+)
+def test_unexpected_exception_is_exit_internal(error, capsys, monkeypatch):
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_slope", broken)
+    code, out, err = run(["slope", "--d", "3", "--sigma", "3"], capsys)
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err.splitlines() == [f"error: internal: {type(error).__name__}: {error}"]
 
 
 def test_cache_unreadable_path_is_exit_4(tmp_path, capsys):

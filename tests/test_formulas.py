@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toruscovers import formulas
 from toruscovers.covers import CapacityError, RamificationProfile, enumerate_classes
 from toruscovers.formulas import (
     MAX_CLOSED_FORM_DEGREE,
@@ -278,3 +279,18 @@ def test_g3_slope_and_probe():
     assert rows[2]["N"] == 16125 and rows[2]["M"] == "20295"
     slopes = [Fraction(r["slope"]) for r in rows]
     assert slopes[0] > slopes[1] > slopes[2] > 9
+
+
+def test_g3_slope_probe_checks_its_largest_prime_before_any_work(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assembled_N_M(*args, **kwargs)
+
+    monkeypatch.setattr(formulas, "assembled_N_M", counted)
+    with pytest.raises(CapacityError, match="bound 199"):
+        g3_slope_probe(primes_up_to(211))
+    assert calls == []
+    assert [r["d"] for r in g3_slope_probe(iter([2, 3, 5]))] == [5]
+    assert len(calls) == 1

@@ -1,6 +1,9 @@
 import xml.etree.ElementTree as ET
+from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruscovers.covers import CoverClass, RamificationProfile, enumerate_classes
 from toruscovers.monodromy import decompose
@@ -17,7 +20,14 @@ from toruscovers.origami import (
     ur_orbits,
     weierstrass_parity,
 )
-from toruscovers.perms import commutator, cycle_string, inverse, parse_cycles
+from toruscovers.perms import (
+    classify_group,
+    commutator,
+    conjugate,
+    cycle_string,
+    inverse,
+    parse_cycles,
+)
 
 
 def _surface(v, h, d=None):
@@ -123,6 +133,50 @@ def test_parity_is_constant_on_components():
         for comp in dec.components:
             values = {weierstrass_parity(dec.classes[i]) for i in comp}
             assert len(values) == 1
+
+
+@lru_cache(maxsize=None)
+def _three_cycle_classes(d):
+    return enumerate_classes(d, RamificationProfile.of(d, "3"))
+
+
+NEITHER = "pair generates neither S_d nor A_d"
+
+
+def _parity_by_group_order(cover):
+    """The former route, kept here only as the oracle: classify the
+    generated group through its Schreier-Sims order."""
+    kind = classify_group([cover.alpha, cover.beta], cover.degree)
+    return {"symmetric": 1, "alternating": 3}.get(kind, NEITHER)
+
+
+def _parity_outcome(cover):
+    try:
+        return weierstrass_parity(cover)
+    except ValueError as e:
+        return str(e)
+
+
+def test_parity_matches_group_classification():
+    neither = Counter()
+    for d in range(3, 9):
+        for c in _three_cycle_classes(d):
+            assert _parity_outcome(c) == _parity_by_group_order(c)
+            if _parity_outcome(c) == NEITHER:
+                assert not c.is_primitive
+                neither[d] += 1
+    # the isogeny pullbacks: d=6 and d=8 over degree 3 and 4 covers
+    assert neither == {6: 9, 8: 27}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parity_is_invariant_under_relabelling(data):
+    d = data.draw(st.sampled_from([3, 5, 6, 7, 8]), label="d")
+    c = data.draw(st.sampled_from(_three_cycle_classes(d)), label="class")
+    t = tuple(data.draw(st.permutations(range(d)), label="relabelling"))
+    relabelled = CoverClass(conjugate(t, c.alpha), conjugate(t, c.beta))
+    assert _parity_outcome(relabelled) == _parity_outcome(c)
 
 
 def test_ascii_render():
