@@ -29,7 +29,7 @@ from .covers import (
     count_table,
     enumerate_classes,
 )
-from .geometry import component_rows, curve_invariants, slope
+from .geometry import component_rows, curve_invariants, slope, slope_from_counts
 from .monodromy import decompose
 from .perms import parse_cycles
 
@@ -225,6 +225,9 @@ def _emit_csv(payload, out) -> None:
 
 
 def _parse_d_list(args) -> list[int]:
+    """The degrees of --d or --d-range.  The top one is held to the
+    enumeration bound that each row's count_table applies before the
+    list is built."""
     if getattr(args, "d_range", None):
         try:
             lo, hi = (int(x) for x in args.d_range.split(".."))
@@ -234,12 +237,13 @@ def _parse_d_list(args) -> list[int]:
             raise SystemExit(_fail(
                 EXIT_INVALID, f"bad --d-range {args.d_range!r}; want a..b, 1 <= a <= b"
             ))
-        ds = list(range(lo, hi + 1))
     elif getattr(args, "d", None) is not None:
         _at_least("--d", args.d, 1)
-        ds = [args.d]
+        lo = hi = args.d
     else:
         raise SystemExit(_fail(EXIT_INVALID, "need --d or --d-range"))
+    check_capacity(hi, DEFAULT_MAX_DEGREE)
+    ds = list(range(lo, hi + 1))
     if getattr(args, "primes_only", False):
         ds = [d for d in ds if formulas.is_prime(d)]
         if not ds:
@@ -322,15 +326,14 @@ def _counts_via_formula(d: int, prof: RamificationProfile) -> Optional[dict]:
     if family is not None:
         if not formulas.is_prime(d):
             return None
-        N, M = formulas.assembled_N_M(d, family)
-        s = formulas.g3_slope(N, M) if family == "g3_5" else Fraction(10)
+        N, M = formulas.closed_N_M(d, family)
         return {
             "d": d,
             "sigma": list(prof.parts),
             "family": family,
             "N": N,
             "M": str(M),
-            "slope": str(s),
+            "slope": str(slope_from_counts(prof, N, M).slope),
         }
     return None
 
@@ -497,13 +500,10 @@ def verify_family(family: str, primes: Sequence[int], lines: list[str]) -> bool:
         ok &= _check(
             lines, f"{family} d={d}: assembled N={aN} M={aM}", (aN, aM) == (N, M)
         )
-        if family != "g3_5":
-            cN, cM = formulas.closed_N_M(d, family)
-            ok &= _check(
-                lines,
-                f"{family} d={d}: closed N={cN} M={cM}",
-                (cN, cM) == (N, M),
-            )
+        cN, cM = formulas.closed_N_M(d, family)
+        ok &= _check(
+            lines, f"{family} d={d}: closed N={cN} M={cM}", (cN, cM) == (N, M)
+        )
     return ok
 
 

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import comb, gcd
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .covers import check_capacity
+from .covers import RamificationProfile, check_capacity
+from .geometry import slope_from_counts
 from .perms import Partition, partitions
 
 Scalar = Union[int, Fraction]
@@ -37,7 +38,8 @@ FAMILIES = ("g2_31", "g2_22", "g3_5")
 _FAMILY_SIGMA = {"g2_31": "3", "g2_22": "2,2", "g3_5": "5"}
 _FAMILY_MIN_D = {"g2_31": 3, "g2_22": 4, "g3_5": 5}
 
-# largest degree of any closed form; the g3_5 assembly grows about as d^3
+# largest degree of any closed form; the g3_5 walk in assembled_N_M grows
+# about as d^3
 MAX_CLOSED_FORM_DEGREE = 199
 
 
@@ -401,23 +403,19 @@ def admissible_types(degree: int, family: str) -> Iterator[Partition]:
 
 
 def assembled_N_M(
-    degree: int, family: str, aggregated: Optional[bool] = None
+    degree: int, family: str, aggregated: bool = False
 ) -> tuple[int, Fraction]:
     """N and the weighted count M, assembled type by type from the
-    closed per-type formulas.
+    closed per-type formulas: the independent check of closed_N_M.
 
     Each admissible type is walked as its (size, multiplicity) pairs, in
     integers: M is kept as count * multiplicity per cycle length l and
-    divided by l once at the end.  For g3_5 at d > 31 an algebraically
-    identical aggregation is faster still and is the default; the tests
-    cross-check the two.  Pass aggregated explicitly to force either path."""
-    _check_family_degree(degree, family)
-    if aggregated is None:
-        aggregated = family == "g3_5" and degree > 31
+    divided by l once at the end.  aggregated=True returns closed_N_M
+    instead; the keyword stays only because the benchmark's
+    g3_aggregated job passes it."""
     if aggregated:
-        if family != "g3_5":
-            raise ValueError("aggregated assembly exists for g3_5 only")
-        return _g3_fast_N_M(degree)
+        return closed_N_M(degree, family)
+    _check_family_degree(degree, family)
     N = 0
     per_len = [0] * (degree + 1)  # sum of count * multiplicity, by length
     for sizes in _admissible_sizes(degree, family):
@@ -430,81 +428,22 @@ def assembled_N_M(
     return N, M
 
 
-def _g3_fast_N_M(degree: int) -> tuple[int, Fraction]:
-    """Aggregated g3_5 assembly.  Per-type weights clear denominators:
-    a type (l1^a1 l2^a2 l3^a3) of count c*l1*l2*l3 contributes exactly
-    c*(a1*l2*l3 + a2*l1*l3 + a3*l1*l2) to M, an integer, so the three-
-    size sweep runs entirely in integer arithmetic."""
-    d = degree
-    n_long = 8 * comb(d, 5)
-    N = n_long
-    M = Fraction(n_long, d)
-    for a2 in range(2, (d - 1) // 2 + 1):
-        a1 = d - 2 * a2
-        n = 8 * (a2 - 1)
-        N += n
-        M += n * (a1 + Fraction(a2, 2))
-    twoN = 0  # twice the two-size total
-    twoM = 0
-    for l1, a1, l2, a2 in _two_size_solutions(d):
-        if l1 == 2:
-            continue  # sizes {2,1} handled above
-        poly = 3 * l1 * l1 + 3 * l2 * l2 - 19 * l1 - 11 * l2 + 4 * d + 22
-        twoN += poly * l1 * l2
-        twoM += poly * (a1 * l2 + a2 * l1)
-    if twoN % 2:
-        raise ArithmeticError("non-integral two-size total")
-    N += twoN // 2
-    M += Fraction(twoM, 2)
-    N3 = 0
-    M3 = 0
-    for l3 in range(1, d):
-        for l2 in range(l3 + 1, d):
-            if l2 + 1 + l2 + l3 > d:  # smallest possible l1 is l2 + 1
-                break
-            # solutions of a2 l2 + a3 l3 = r, tabulated once per (l2, l3)
-            cnt = [0] * (d + 1)
-            s2 = [0] * (d + 1)
-            s3 = [0] * (d + 1)
-            for a2 in range(1, (d - l3) // l2 + 1):
-                base = a2 * l2
-                for a3 in range(1, (d - base) // l3 + 1):
-                    r = base + a3 * l3
-                    cnt[r] += 1
-                    s2[r] += a2
-                    s3[r] += a3
-            for l1 in range(l2 + 1, d - l2 - l3 + 1):
-                c = 7 if l1 == l2 + l3 else 11
-                tc = t1 = t2 = t3 = 0
-                for a1 in range(1, (d - l2 - l3) // l1 + 1):
-                    r = d - a1 * l1
-                    k = cnt[r]
-                    if k:
-                        tc += k
-                        t1 += a1 * k
-                        t2 += s2[r]
-                        t3 += s3[r]
-                if tc:
-                    N3 += c * l1 * l2 * l3 * tc
-                    M3 += c * (t1 * l2 * l3 + t2 * l1 * l3 + t3 * l1 * l2)
-    return N + N3, M + M3
-
-
 def closed_N_M(degree: int, family: str) -> tuple[int, Fraction]:
-    """The one-line polynomial forms of N and M for the two g = 2
-    families (prime d)."""
+    """N and M as one polynomial in prime d per family.
+
+    All three share the factor (d-2)(d-1)(d+1).  The g3_5 pair is the
+    prime-degree value of its quasimodular count; the tests refit its
+    coefficients from assembled_N_M rather than take them on trust."""
     _check_family_degree(degree, family)
     d = degree
+    base = (d - 2) * (d - 1) * (d + 1)
     if family == "g2_31":
-        base = (d - 2) * (d - 1) * (d + 1)
         N, M = Fraction(3 * base, 8), Fraction(5 * base, 12)
     elif family == "g2_22":
-        base = (d - 3) * (d - 2) * (d - 1) * (d + 1)
-        N, M = Fraction(base, 6), Fraction(5 * base, 24)
+        N, M = Fraction((d - 3) * base, 6), Fraction(5 * (d - 3) * base, 24)
     else:
-        raise ValueError(
-            "no closed polynomial for the g = 3 family; use assembled_N_M"
-        )
+        N = Fraction(5 * base * (61 * d * d - 424 * d + 723), 1152)
+        M = Fraction(base * (637 * d * d - 4408 * d + 7491), 1920)
     if N.denominator != 1:
         raise ArithmeticError(f"non-integral N for d={d}")
     return int(N), M
@@ -701,22 +640,17 @@ def dejonquieres_positive(max_genus: int = 8) -> bool:
 # the g = 3 slope probe
 
 
-def g3_slope(N: int, M: Fraction) -> Fraction:
-    """slope = 12M / (M + 2N/5) for the (5, 1^{d-5}) family."""
-    return 12 * M / (M + Fraction(2 * N, 5))
-
-
 def g3_slope_probe(primes: Iterable[int]) -> list[dict]:
-    """Exact (d, N, M, slope) rows over the given primes, from the
-    closed per-type assembly.  The largest prime is held to the
+    """Exact (d, N, M, slope) rows over the given primes, from the closed
+    polynomial of g3_5 and the slope of geometry.slope_from_counts.
+    Primes below 5 are dropped, and the largest is held to the
     closed-form bound before any row is computed."""
     primes = [d for d in primes if d >= 5]
     if primes:
         check_capacity(max(primes), MAX_CLOSED_FORM_DEGREE, "closed-form")
     rows = []
     for d in primes:
-        N, M = assembled_N_M(d, "g3_5")
-        rows.append(
-            {"d": d, "N": N, "M": str(M), "slope": str(g3_slope(N, M))}
-        )
+        N, M = closed_N_M(d, "g3_5")
+        s = slope_from_counts(RamificationProfile.of(d, "5"), N, M).slope
+        rows.append({"d": d, "N": N, "M": str(M), "slope": str(s)})
     return rows

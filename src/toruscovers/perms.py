@@ -78,19 +78,6 @@ def commutator(a: Perm, b: Perm) -> Perm:
     return tuple(a[b[ia[ib[x]]]] for x in range(len(a)))
 
 
-def perm_order(p: Perm) -> int:
-    out = 1
-    for part in cycle_type(p):
-        out = _lcm(out, part)
-    return out
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
 # ---------------------------------------------------------------------------
 # cycle structure
 

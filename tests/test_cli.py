@@ -137,6 +137,16 @@ def test_verify_dejonquieres(capsys):
     assert out.count("PASS") == 3
 
 
+@pytest.mark.parametrize("family", ["g2_31", "g2_22", "g3_5"])
+def test_verify_family_passes_every_check(family, capsys):
+    code, out, _ = run(["verify", "--family", family, "--primes", "5,7"], capsys)
+    lines = out.splitlines()
+    assert code == 0 and lines
+    assert all(line.startswith("PASS") for line in lines)
+    for d in (5, 7):
+        assert any(f"{family} d={d}: closed N=" in line for line in lines)
+
+
 def test_verify_needs_a_target(capsys):
     code, _, err = run(["verify"], capsys)
     assert code == 2
@@ -357,9 +367,12 @@ def test_empty_or_non_positive_range_is_exit_2(argv, option, capsys):
         ["genus", "--d", "300000", "--sigma", "3"],
         ["orbifold", "--d", "300000", "--sigma", "3"],
         ["origami", "render", "--d", "300000", "--sigma", "3"],
+        ["sweep", "--d", "300000", "--sigma", "3"],
+        ["sweep", "--d-range", "9..300000", "--sigma", "3"],
     ],
     ids=["characters", "counts-formula", "probe-g3", "enumerate", "counts",
-         "slope", "components", "genus", "orbifold", "origami-render"],
+         "slope", "components", "genus", "orbifold", "origami-render",
+         "sweep", "sweep-range"],
 )
 def test_degree_past_its_bound_is_exit_3_before_any_work(argv, capsys, monkeypatch):
     def no_work(*args, **kwargs):
@@ -367,6 +380,7 @@ def test_degree_past_its_bound_is_exit_3_before_any_work(argv, capsys, monkeypat
 
     monkeypatch.setattr(characters, "partitions", no_work)
     monkeypatch.setattr(formulas, "assembled_N_M", no_work)
+    monkeypatch.setattr(formulas, "closed_N_M", no_work)
     monkeypatch.setattr(formulas, "primes_up_to", no_work)
     # nothing of size d (such as the length-d profile) may be built first
     tracemalloc.start()

@@ -17,7 +17,6 @@ from toruscovers.formulas import (
     dejonquieres_positive,
     divisor_sigma,
     eisenstein,
-    g3_slope,
     g3_slope_probe,
     gcd_sum_three_sizes,
     gcd_sum_two_one,
@@ -30,6 +29,7 @@ from toruscovers.formulas import (
     ramanujan_check,
     sum_identity_l1l2,
 )
+from toruscovers.geometry import slope_from_counts
 from toruscovers.perms import type_weight
 
 # Frozen from direct enumeration (degree 7, all transitive classes up to
@@ -171,13 +171,41 @@ def test_closed_totals_match_assembly_at_many_primes():
             assert closed_N_M(d, family) == assembled_N_M(d, family)
 
 
-def test_g3_fast_aggregation_matches_generic():
-    for d in primes_up_to(61):
-        if d < 5:
-            continue
-        generic = assembled_N_M(d, "g3_5", aggregated=False)
-        fast = assembled_N_M(d, "g3_5", aggregated=True)
-        assert generic == fast, d
+def _interpolate(points):
+    """Coefficients, constant term first, of the polynomial of degree
+    len(points) - 1 through the given (x, y) pairs, exactly."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]  # prod_{j != i} (x - xj), low degree first
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]
+                denom *= xi - xj
+        for k, b in enumerate(basis):
+            coeffs[k] += yi * b / denom
+    return coeffs
+
+
+def _evaluate(coeffs, x):
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+def test_g3_closed_polynomial_is_fitted_from_the_walk():
+    primes = [d for d in primes_up_to(199) if d >= 5]
+    fitted = primes[:6]  # 5..19 fix a degree-5 polynomial
+    walk = {d: assembled_N_M(d, "g3_5") for d in fitted}
+    fit_N = _interpolate([(d, walk[d][0]) for d in fitted])
+    fit_M = _interpolate([(d, walk[d][1]) for d in fitted])
+    fit = {d: (_evaluate(fit_N, d), _evaluate(fit_M, d)) for d in primes}
+    for d in primes:
+        assert closed_N_M(d, "g3_5") == fit[d], d
+        assert assembled_N_M(d, "g3_5", aggregated=True) == fit[d], d
+    for d in [d for d in primes if 23 <= d <= 113] + [199]:  # held out
+        assert assembled_N_M(d, "g3_5") == fit[d], d
 
 
 def _assembled_by_partitions(degree, family):
@@ -271,7 +299,8 @@ def test_dejonquieres_rejects_malformed_input():
 
 
 def test_g3_slope_and_probe():
-    assert g3_slope(40, Fraction(258, 5)) == Fraction(1548, 169)
+    res = slope_from_counts(RamificationProfile.of(5, "5"), 40, Fraction(258, 5))
+    assert res.slope == Fraction(1548, 169)
     rows = g3_slope_probe([5, 7, 11])
     assert [r["d"] for r in rows] == [5, 7, 11]
     assert rows[0]["N"] == 40 and rows[0]["M"] == "258/5"
@@ -286,9 +315,9 @@ def test_g3_slope_probe_checks_its_largest_prime_before_any_work(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return assembled_N_M(*args, **kwargs)
+        return closed_N_M(*args, **kwargs)
 
-    monkeypatch.setattr(formulas, "assembled_N_M", counted)
+    monkeypatch.setattr(formulas, "closed_N_M", counted)
     with pytest.raises(CapacityError, match="bound 199"):
         g3_slope_probe(primes_up_to(211))
     assert calls == []

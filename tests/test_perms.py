@@ -26,7 +26,6 @@ from toruscovers.perms import (
     parse_cycles,
     partition_sign,
     partitions,
-    perm_order,
     sign,
     type_rep,
     type_weight,
@@ -91,12 +90,6 @@ def test_inverse_and_commutator(a, b):
     lhs = commutator(a, b)
     rhs = compose(compose(a, b), inverse(compose(b, a)))
     assert lhs == rhs
-
-
-def test_perm_order_is_lcm_of_cycle_lengths():
-    p = parse_cycles("(1 2)(3 4 5)", 6)
-    assert perm_order(p) == 6
-    assert perm_order(identity(3)) == 1
 
 
 def test_partitions_reverse_lex_and_counts():
