@@ -143,9 +143,6 @@ class CharacterTable:
         degrees = {s: character_degree(s) for s in shapes}
         return cls(degree, shapes, values, degrees)
 
-    def value(self, shape: Partition, cls_: Partition) -> int:
-        return self.values[tuple(shape), tuple(cls_)]
-
     def row_orthogonal(self) -> bool:
         n = factorial(self.degree)
         for a in self.shapes:
@@ -331,9 +328,3 @@ def connected_from_disconnected(zhat: GenSeries) -> GenSeries:
     return GenSeries(
         "Z_tilde", zhat.d_max, series_log(zhat.coeffs, zhat.d_max)
     )
-
-
-def exp_identity_holds(d_max: int) -> bool:
-    """Zhat = exp(Ztilde) - 1, coefficient by coefficient."""
-    zhat, ztilde = build_generating_functions(d_max)
-    return series_exp(ztilde.coeffs, d_max) == dict(zhat.coeffs)

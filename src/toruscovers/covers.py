@@ -321,18 +321,6 @@ def period_lattice_index(alpha: Perm, beta: Perm) -> int:
     return index
 
 
-def is_cover_pair(alpha: Perm, beta: Perm, profile: RamificationProfile) -> bool:
-    """Whether (alpha, beta) encodes a connected cover with the given
-    branch class: commutator in the class, generated group transitive."""
-    from .perms import commutator
-
-    if len(alpha) != profile.degree or len(beta) != profile.degree:
-        raise ValueError("degree mismatch with profile")
-    if cycle_type(commutator(alpha, beta)) != profile.parts:
-        return False
-    return is_transitive([alpha, beta], profile.degree)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 

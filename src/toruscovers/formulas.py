@@ -500,7 +500,6 @@ class GenusFormula:
     degree: int
     printed: Fraction  # the closed form exactly as printed
     repaired: Fraction  # the variant consistent with orbit computations
-    terms: dict
 
     def flag_against(self, orbit_genus: int) -> dict:
         return {
@@ -535,7 +534,7 @@ def genus_closed(degree: int, family: str) -> GenusFormula:
         S = gcd_sum_two_sizes(d)
         printed = 1 + Fraction((d - 1) * (d - 2) * (15 * d + 23), 8) - 6 * S
         repaired = 1 + Fraction((d - 1) * (d - 2) * (15 * d + 7), 8) - 6 * S
-        return GenusFormula(family, d, printed, repaired, {"S": S})
+        return GenusFormula(family, d, printed, repaired)
     if family == "g2_22":
         S1 = gcd_sum_three_sizes(d)
         S2 = gcd_sum_two_sizes(d, weight_l1_minus_2=True)
@@ -546,13 +545,7 @@ def genus_closed(degree: int, family: str) -> GenusFormula:
         )
         printed = base - 6 * (S1 - S2 - S3_printed)
         repaired = base - 6 * (S1 + S2 + S3)
-        return GenusFormula(
-            family,
-            d,
-            printed,
-            repaired,
-            {"S1": S1, "S2": S2, "S3_printed": str(S3_printed), "S3": str(S3)},
-        )
+        return GenusFormula(family, d, printed, repaired)
     raise ValueError("genus closed forms exist for the g = 2 families only")
 
 

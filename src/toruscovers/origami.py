@@ -20,7 +20,7 @@ d-cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .covers import CoverClass
 from .monodromy import _image_pair, action_images
@@ -193,12 +193,10 @@ def weierstrass_parity(cover: CoverClass) -> int:
 # rendering
 
 
-def render_ascii(
-    s: SquareTiledSurface, mark: Optional[Iterable[int]] = None
-) -> str:
+def render_ascii(s: SquareTiledSurface) -> str:
     """Cylinder-by-cylinder grid of labeled squares, top annulus first;
-    squares in `mark` (default: the commutator support) get a '*'."""
-    marked = singular_squares(s) if mark is None else {int(i) for i in mark}
+    squares in the commutator support get a '*'."""
+    marked = singular_squares(s)
     width = max(len(str(s.degree)) + 1, 3)
     blocks = []
     for stack in _cylinder_rows(s):
@@ -216,12 +214,10 @@ def render_ascii(
     return "\n\n".join(blocks) + "\n"
 
 
-def render_svg(
-    s: SquareTiledSurface, mark: Optional[Iterable[int]] = None
-) -> str:
+def render_svg(s: SquareTiledSurface) -> str:
     """SVG 1.1 document with one rectangle per square, cylinders stacked
     with a gap, cone-point squares dotted."""
-    marked = singular_squares(s) if mark is None else {int(i) for i in mark}
+    marked = singular_squares(s)
     unit, gap, pad = 40, 20, 10
     rows = _cylinder_rows(s)
     height = pad * 2 + sum(len(st) * unit for st in rows) + gap * (len(rows) - 1)
@@ -256,13 +252,9 @@ def render_svg(
     return "\n".join(parts) + "\n"
 
 
-def render(
-    s: SquareTiledSurface,
-    format: str = "ascii",
-    mark: Optional[Iterable[int]] = None,
-) -> str:
+def render(s: SquareTiledSurface, format: str = "ascii") -> str:
     if format == "ascii":
-        return render_ascii(s, mark)
+        return render_ascii(s)
     if format == "svg":
-        return render_svg(s, mark)
+        return render_svg(s)
     raise ValueError(f"unknown format {format!r}")

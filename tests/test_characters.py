@@ -12,7 +12,6 @@ from toruscovers.characters import (
     character_value,
     connected_from_disconnected,
     disconnected_count,
-    exp_identity_holds,
     series_exp,
     series_log,
     tau_type,
@@ -141,10 +140,6 @@ def test_series_exp_log_round_trip():
     z = dict(ztilde.coeffs)
     assert series_exp(z, 4) == w
     assert series_log(w, 4) == z
-
-
-def test_exp_identity_small_degrees():
-    assert exp_identity_holds(4)
 
 
 def test_connected_coefficients_are_weighted_counts():

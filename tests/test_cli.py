@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +127,14 @@ def test_characters_csv(capsys):
     assert out.splitlines()[0] == "shape,3,2|1,1|1|1"
 
 
+def test_characters_output_writes_the_file(tmp_path, capsys):
+    _, printed, _ = run(["characters", "--d", "3"], capsys)
+    target = tmp_path / "table.csv"
+    code, out, _ = run(["characters", "--d", "3", "--output", str(target)], capsys)
+    assert code == 0 and out == ""
+    assert target.read_bytes() == printed.encode("utf-8")
+
+
 def test_genfun_check(capsys):
     code, out, _ = run(["genfun-check", "--d-max", "4"], capsys)
     assert code == 0
@@ -212,6 +222,24 @@ def test_origami_render_by_index(tmp_path, capsys):
     assert code == 2
 
 
+def test_origami_render_refuses_more_squares_than_its_cycles_name(capsys):
+    # a square that neither cycle string names is fixed by v and h, so the
+    # surface cannot be connected; nothing of size d may be built first
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            ["origami", "render", "--d", "3000000", "--alpha", "(1 2)",
+             "--beta", "(2 3)"],
+            capsys,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "not connected" in err
+    assert peak < 1_000_000
+
+
 def test_sweep_table_and_csv(tmp_path, capsys):
     code, out, _ = run(
         ["sweep", "--d-range", "3..5", "--sigma", "3"], capsys
@@ -226,6 +254,38 @@ def test_sweep_table_and_csv(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text().startswith("M,N,d")
+
+
+def test_sweep_primes_only(capsys):
+    code, out, _ = run(
+        ["sweep", "--d-range", "3..9", "--sigma", "3", "--primes-only"], capsys
+    )
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["d=3", "d=5", "d=7"]
+    code, out, err = run(
+        ["sweep", "--d-range", "8..9", "--sigma", "3", "--primes-only"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "--primes-only" in err
+
+
+def test_sweep_has_no_jobs_option(capsys):
+    code, out, _ = run(["sweep", "--d", "3", "--sigma", "3", "--jobs", "2"], capsys)
+    assert code == 2 and out == ""
+
+
+def test_cli_import_loads_no_process_pool():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, toruscovers.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +370,21 @@ def test_cache_hit_output_byte_identical(tmp_path, capsys):
         code, warm, _ = run(argv, capsys)
         assert code == 0
         assert cold == warm
+
+
+def test_partly_cached_sweep_computes_and_stores_only_the_misses(tmp_path, capsys):
+    argv = ["sweep", "--d-range", "3..6", "--sigma", "3"]
+    _, uncached, _ = run(argv, capsys)
+    cache = ["--cache-dir", str(tmp_path)]
+    run(["sweep", "--d", "4", "--sigma", "3", *cache], capsys)
+    path = tmp_path / "results.jsonl"
+    before = path.read_text().splitlines()
+    code, out, err = run(argv + cache, capsys)
+    assert code == 0 and out == uncached
+    assert "(1 cache hits)" in err
+    lines = path.read_text().splitlines()
+    assert lines[: len(before)] == before
+    assert [json.loads(line)["key"]["d"] for line in lines[len(before):]] == [3, 5, 6]
 
 
 def test_cache_value_of_wrong_shape_is_a_miss(tmp_path, capsys):
@@ -424,14 +499,6 @@ def test_cache_env_var_override(tmp_path, capsys, monkeypatch):
     code, _, err = run(["sweep", "--d", "3", "--sigma", "3"], capsys)
     assert code == 0
     assert (tmp_path / "results.jsonl").exists()
-
-
-def test_parallel_sweep_matches_serial(tmp_path, capsys):
-    serial = run(["sweep", "--d-range", "3..6", "--sigma", "3",
-                  "--format", "json"], capsys)
-    parallel = run(["sweep", "--d-range", "3..6", "--sigma", "3",
-                    "--jobs", "2", "--format", "json"], capsys)
-    assert serial == parallel
 
 
 def test_console_script_entry_point():

@@ -20,7 +20,6 @@ from toruscovers.covers import (
     canonical_pair,
     count_table,
     enumerate_classes,
-    is_cover_pair,
     period_lattice_index,
     weighted_count,
 )
@@ -196,18 +195,6 @@ def test_kappa_factor_counts_all_parts():
     # kappa = d - sum 1/l_i over every part, fixed points included
     p = RamificationProfile.of(5, "3")
     assert p.kappa_factor == 5 - (Fraction(1, 3) + 1 + 1)
-
-
-def test_is_cover_pair():
-    prof = RamificationProfile.of(3, "3")
-    a = parse_cycles("(2 3)", 3)
-    b = parse_cycles("(1 2 3)")
-    assert is_cover_pair(a, b, prof)
-    assert not is_cover_pair(identity3(), identity3(), prof)
-
-
-def identity3():
-    return (0, 1, 2)
 
 
 def test_class_invariants_under_action_input_order():

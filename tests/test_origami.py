@@ -183,9 +183,6 @@ def test_ascii_render():
     art = render_ascii(E1())
     assert "| 1*|" in art
     assert art.count("+---") >= 5
-    # marking an explicit set instead of the singular squares
-    art = render_ascii(E1(), mark={2})
-    assert "| 2*|" in art and "| 1 |" in art
 
 
 def test_svg_render_is_well_formed():
