@@ -12,7 +12,7 @@ last observation also gives a second, character-free way to compute the
 same number (the "convolution" method below), which the tests play off
 against the first.
 
-The transitive weighted counts Ntilde (covers.weighted_count) assemble
+The transitive weighted counts Ntilde (covers.aut_weighted_counts) assemble
 into a generating series Ztilde, graded by (beta type, k); the series of
 disconnected counts Zhat is its formal exponential minus one, since a
 disconnected cover splits uniquely into connected pieces whose beta
@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Mapping, Sequence
 
-from .covers import check_capacity, weighted_count
+from .covers import RamificationProfile, aut_weighted_counts, check_capacity
 from .perms import (
     Partition,
     class_elements,
@@ -308,14 +308,14 @@ def build_generating_functions(d_max: int) -> tuple[GenSeries, GenSeries]:
     ztilde: dict[Key, Fraction] = {}
     for d in range(1, d_max + 1):
         fact = factorial(d)
-        for parts in partitions(d):
-            for k in range(0, d // 2 + 1):
+        for k in range(0, d // 2 + 1):
+            for parts in partitions(d):
                 nhat = disconnected_count(d, k, parts)
                 if nhat:
                     zhat[(parts, k)] = Fraction(nhat, fact)
-                ntilde = weighted_count(d, k, parts)
-                if ntilde:
-                    ztilde[(parts, k)] = ntilde
+            prof = RamificationProfile.of(d, [2] * k)  # odd k admits no covers
+            for parts, ntilde in aut_weighted_counts(d, prof).items():
+                ztilde[(parts, k)] = ntilde
     return (
         GenSeries("Z_hat", d_max, zhat),
         GenSeries("Z_tilde", d_max, ztilde),

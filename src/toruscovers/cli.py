@@ -12,7 +12,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -51,12 +51,13 @@ class CacheError(RuntimeError):
 class ResultCache:
     """Append-only JSONL store.  One record per line: {"key": .., "value": ..}.
     Keys are compared as sorted JSON text; values keep their field order,
-    so a hit prints the same bytes as the computation it replays.  Reads
-    scan the whole file and the last record for a key wins, so
-    concurrent appenders never corrupt each other's view; compaction
-    rewrites atomically, dropping stale and torn records."""
+    so a hit prints the same bytes as the computation it replays.  The
+    file is read at most once per instance, on the first get; the last
+    record for a key wins and torn or stale lines are skipped.  Each put
+    appends one line and updates what was read."""
 
     path: Path
+    _records: Optional[dict] = field(default=None, init=False, repr=False)
 
     @classmethod
     def at(cls, directory: os.PathLike) -> "ResultCache":
@@ -71,30 +72,26 @@ class ResultCache:
     def _key_text(key: dict) -> str:
         return json.dumps(key, sort_keys=True)
 
-    def _scan(self):
+    def _read(self) -> dict:
+        records: dict[str, dict] = {}
         if not self.path.exists():
-            return
+            return records
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
                 for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
                     try:
                         rec = json.loads(line)
-                        yield self._key_text(rec["key"]), rec["value"]
+                        records[self._key_text(rec["key"])] = rec["value"]
                     except (json.JSONDecodeError, KeyError, TypeError):
-                        continue  # torn or stale line; ignored until compaction
+                        continue  # blank, torn or stale line
         except OSError as e:
             raise CacheError(f"cannot read cache {self.path}: {e}") from e
+        return records
 
     def get(self, key: dict) -> Optional[dict]:
-        want = self._key_text(key)
-        found = None
-        for ktext, value in self._scan():
-            if ktext == want:
-                found = value
-        return found
+        if self._records is None:
+            self._records = self._read()
+        return self._records.get(self._key_text(key))
 
     def put(self, key: dict, value: dict) -> None:
         line = json.dumps({"key": key, "value": value})
@@ -111,21 +108,8 @@ class ResultCache:
                 fh.write(prefix + (line + "\n").encode("utf-8"))
         except OSError as e:
             raise CacheError(f"cannot write cache {self.path}: {e}") from e
-
-    def compact(self) -> int:
-        kept: dict[str, dict] = {}
-        for ktext, value in self._scan():
-            kept[ktext] = value
-        tmp = self.path.with_suffix(".jsonl.tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for ktext, value in kept.items():
-                    record = {"key": json.loads(ktext), "value": value}
-                    fh.write(json.dumps(record) + "\n")
-            os.replace(tmp, self.path)
-        except OSError as e:
-            raise CacheError(f"cannot compact cache {self.path}: {e}") from e
-        return len(kept)
+        if self._records is not None:
+            self._records[self._key_text(key)] = value
 
 
 def _cache_from_args(args) -> Optional[ResultCache]:
@@ -186,7 +170,11 @@ def _at_least(option: str, value: int, low: int) -> None:
 def _write(args, text: str) -> None:
     """Write ``text`` to --output when it is given, to stdout otherwise."""
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as e:
+            message = f"cannot write --output {args.output}: {e.strerror or e}"
+            raise SystemExit(_fail(EXIT_INVALID, message))
     else:
         sys.stdout.write(text)
 

@@ -34,14 +34,12 @@ from .perms import (
     centralizer_order,
     class_elements,
     classify_group,
-    compose,
     conjugate,
     conjugating_element,
     cycle_string,
     cycle_type,
     cycles,
     inverse,
-    is_transitive,
     partition_sign,
     partitions,
     type_rep,
@@ -325,24 +323,6 @@ def period_lattice_index(alpha: Perm, beta: Perm) -> int:
 # enumeration
 
 
-def _coset_solutions(
-    ctx: _TypeContext, sigma: Partition, degree: int
-) -> Iterator[Perm]:
-    """Yield every alpha with ``alpha beta0 alpha^-1 beta0^-1`` in the
-    class sigma, beta0 the fixed representative of ctx.  Each alpha is
-    produced exactly once (distinct gammas give disjoint cosets)."""
-    beta0 = ctx.rep
-    for gamma in class_elements(sigma, degree):
-        delta = compose(gamma, beta0)
-        if cycle_type(delta) != ctx.parts:
-            continue
-        a0 = conjugating_element(beta0, delta)
-        if a0 is None:  # same type; cannot happen
-            raise ConsistencyError("missing conjugator for matching types")
-        for z, _ in ctx.pairs():
-            yield compose(a0, z)
-
-
 def _connectivity_test(beta0: Perm) -> Callable[[Perm], bool]:
     """Return a test of whether ``<alpha, beta0>`` is transitive.  The
     orbits of that group are unions of cycles of beta0 joined by alpha, so
@@ -447,26 +427,6 @@ def _classes_for_type(ctx: _TypeContext, gammas: Sequence[Perm]) -> list[CoverCl
     return [CoverClass(a, beta0) for a in reps]
 
 
-def classes_for_beta_type(
-    profile: RamificationProfile, parts: Partition
-) -> list[CoverClass]:
-    """All cover classes whose beta has the given cycle type, as canonical
-    representatives sorted by alpha.
-
-    Walks one commutator gamma per C(beta0)-orbit and, in its coset, one
-    alpha per Stab(gamma)-orbit (see the module docstring).  Degrees past
-    ``DEFAULT_MAX_DEGREE`` raise CapacityError.
-    """
-    d = profile.degree
-    if sum(parts) != d:
-        raise ValueError("beta type must partition the degree")
-    check_capacity(d)
-    if not profile.admits_covers:
-        return []
-    gammas = tuple(class_elements(profile.parts, d))
-    return _classes_for_type(_type_context(parts), gammas)
-
-
 def enumerate_classes(
     degree: int,
     profile: RamificationProfile,
@@ -540,6 +500,25 @@ def _table_from_counts(
     return CountsTable(degree, profile, rows)
 
 
+def aut_weighted_counts(
+    degree: int,
+    profile: RamificationProfile,
+    max_degree: int = DEFAULT_MAX_DEGREE,
+) -> dict[Partition, Fraction]:
+    """Sum of 1/stabilizer_order per beta cycle type over the classes of
+    :func:`enumerate_classes` (the 1/|Aut| weighting of Hurwitz numbers).
+
+    By orbit-stabilizer a class with beta = beta0 holds |C(beta0)|/|Aut|
+    transitive alphas, so each sum is the raw transitive-solution count
+    divided by |C(beta0)|, which is also the number of transitive pairs
+    with beta of that type divided by d!.
+    """
+    sums: dict[Partition, Fraction] = {}
+    for c in enumerate_classes(degree, profile, max_degree=max_degree):
+        sums[c.beta_type] = sums.get(c.beta_type, 0) + Fraction(1, c.stabilizer_order)
+    return sums
+
+
 def count_table(
     degree: int,
     profile: RamificationProfile,
@@ -548,11 +527,12 @@ def count_table(
 ) -> CountsTable:
     """Count classes per beta cycle type.
 
-    ``brute`` enumerates classes and counts orbits (valid for any degree).
-    ``burnside_prime`` divides the raw solution count by the centralizer
-    order, which counts orbits exactly when the action is free; that holds
-    for prime degree, where a pair with transitive group has no nontrivial
-    simultaneous self-conjugation.
+    ``brute`` counts the classes (valid for any degree).  ``burnside_prime``
+    reads :func:`aut_weighted_counts`, the raw solution count over
+    |C(beta0)|; that is the class count when no class has an automorphism,
+    as at prime d with nontrivial sigma (an automorphism of a transitive
+    pair of prime degree is a power of a d-cycle, which forces a trivial
+    commutator).  Other inputs raise ValueError before any enumeration.
     """
     if method == "brute":
         counts: dict[Partition, int] = {}
@@ -562,43 +542,29 @@ def count_table(
     if method == "burnside_prime":
         if degree < 2 or any(degree % k == 0 for k in range(2, degree)):
             raise ValueError("burnside_prime requires a prime degree")
-        check_capacity(degree, max_degree)
-        counts = {}
-        if profile.admits_covers:
-            for parts in partitions(degree):
-                ctx = _type_context(parts)
-                total = 0
-                for a in _coset_solutions(ctx, profile.parts, degree):
-                    if is_transitive([a, ctx.rep], degree):
-                        total += 1
-                if total:
-                    if total % ctx.order:
-                        raise ConsistencyError(
-                            "free-action count not divisible by centralizer order"
-                        )
-                    counts[parts] = total // ctx.order
-        return _table_from_counts(degree, profile, counts)
+        if not profile.nontrivial_parts:
+            raise ValueError(
+                f"burnside_prime requires a nontrivial sigma, not {profile}: "
+                "commuting pairs have automorphisms"
+            )
+        weighted = aut_weighted_counts(degree, profile, max_degree)
+        if any(w.denominator != 1 for w in weighted.values()):
+            raise ConsistencyError("a class at prime degree has an automorphism")
+        return _table_from_counts(
+            degree, profile, {t: int(w) for t, w in weighted.items()}
+        )
     raise ValueError(f"unknown method {method!r}")
-
-
-# ---------------------------------------------------------------------------
-# weighted counts (used by the character-sum cross-checks)
 
 
 def weighted_count(degree: int, k: int, parts: Partition) -> Fraction:
     """Number of transitive pairs with beta of the given type and
-    commutator of type (2^k 1^(d-2k)), divided by d!.
-
-    Equals the sum over classes of 1/stabilizer_order.  Out-of-range or
-    odd k gives zero (no such covers), not an error; degrees past
-    ``DEFAULT_MAX_DEGREE`` raise CapacityError.
-    """
+    commutator of type (2^k 1^(d-2k)), divided by d!: the type's entry of
+    :func:`aut_weighted_counts`.  Out-of-range or odd k gives zero (no such
+    covers), not an error; degrees past ``DEFAULT_MAX_DEGREE`` raise
+    CapacityError."""
     if k < 0 or 2 * k > degree or k % 2:
         return Fraction(0)
-    profile = RamificationProfile.of(degree, [2] * k)
     if sum(parts) != degree:
         raise ValueError("parts must partition the degree")
-    total = Fraction(0)
-    for c in classes_for_beta_type(profile, parts):
-        total += Fraction(1, c.stabilizer_order)
-    return total
+    profile = RamificationProfile.of(degree, [2] * k)
+    return aut_weighted_counts(degree, profile).get(tuple(parts), Fraction(0))

@@ -141,10 +141,16 @@ def test_genfun_check(capsys):
     assert "PASS" in out
 
 
-def test_verify_dejonquieres(capsys):
-    code, out, _ = run(["verify", "--dejonquieres"], capsys)
-    assert code == 0
-    assert out.count("PASS") == 3
+@pytest.mark.parametrize(
+    "option,n_lines",
+    [("--appendix", 4), ("--slope10", 13), ("--dejonquieres", 3)],
+    ids=["appendix", "slope10", "dejonquieres"],
+)
+def test_verify_dejonquieres(option, n_lines, capsys):
+    code, out, _ = run(["verify", option], capsys)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == n_lines
+    assert all(line.startswith("PASS") for line in lines)
 
 
 @pytest.mark.parametrize("family", ["g2_31", "g2_22", "g3_5"])
@@ -322,8 +328,10 @@ def test_cache_last_writer_wins(tmp_path):
     cache.put(key, {"N": 1})
     cache.put(key, {"N": 2})
     assert cache.get(key) == {"N": 2}
-    assert cache.compact() == 1
-    assert cache.get(key) == {"N": 2}
+    # a put after the one read updates what was read, and the file
+    cache.put(key, {"N": 3})
+    assert cache.get(key) == {"N": 3}
+    assert ResultCache(cache.path).get(key) == {"N": 3}
 
 
 def test_cache_tolerates_torn_lines(tmp_path):
@@ -335,10 +343,51 @@ def test_cache_tolerates_torn_lines(tmp_path):
     assert cache.get({"d": 3}) == {"N": 1}
     assert cache.get({"d": 4}) is None
     assert cache.get({"d": 5}) == {"N": 9}
-    kept = cache.compact()
-    assert kept == 2
-    lines = cache.path.read_text().splitlines()
-    assert all(json.loads(line) for line in lines)
+
+
+def test_sweep_reads_the_cache_file_once(tmp_path, capsys, monkeypatch):
+    cache = ["--cache-dir", str(tmp_path)]
+    run(["sweep", "--d-range", "3..5", "--sigma", "3", *cache], capsys)
+    path = tmp_path / "results.jsonl"
+    reads = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if Path(file) == path and "r" in mode:
+            reads.append(mode)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    code, _, err = run(["sweep", "--d-range", "3..7", "--sigma", "3", *cache], capsys)
+    assert code == 0 and "(3 cache hits)" in err
+    assert len(reads) == 1
+    # the two rows computed by that sweep were stored
+    monkeypatch.undo()
+    code, _, err = run(["sweep", "--d-range", "3..7", "--sigma", "3", *cache], capsys)
+    assert code == 0 and "(5 cache hits)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["characters", "--d", "3", "--output", "{missing}/f.csv"],
+        ["sweep", "--d", "3", "--sigma", "3", "--output", "{directory}"],
+    ],
+    ids=["missing-dir", "a-directory"],
+)
+def test_unwritable_output_is_exit_2(argv, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "missing", directory=tmp_path) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write --output ")
+
+
+def test_burnside_with_trivial_sigma_is_exit_2(capsys):
+    code, out, err = run(
+        ["counts", "--d", "5", "--sigma", "1", "--method", "burnside"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "nontrivial sigma" in err
 
 
 def test_cache_version_bump_recomputes(tmp_path, capsys):

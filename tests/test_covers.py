@@ -13,10 +13,11 @@ import pytest
 from toruscovers import covers
 from toruscovers.covers import (
     CapacityError,
+    ConsistencyError,
     CoverClass,
     RamificationProfile,
-    _coset_solutions,
     _type_context,
+    aut_weighted_counts,
     canonical_pair,
     count_table,
     enumerate_classes,
@@ -24,9 +25,11 @@ from toruscovers.covers import (
     weighted_count,
 )
 from toruscovers.perms import (
+    class_elements,
     commutator,
     compose,
     conjugate,
+    conjugating_element,
     cycle_type,
     inverse,
     is_transitive,
@@ -90,6 +93,22 @@ def test_each_class_is_one_naive_orbit(d, sigma):
     assert canon == {(c.alpha, c.beta) for c in classes}
 
 
+def _coset_solutions(ctx, sigma, degree):
+    """Yield every alpha with ``alpha beta0 alpha^-1 beta0^-1`` in the
+    class sigma, beta0 the fixed representative of ctx.  Each alpha is
+    produced exactly once (distinct gammas give disjoint cosets)."""
+    beta0 = ctx.rep
+    for gamma in class_elements(sigma, degree):
+        delta = compose(gamma, beta0)
+        if cycle_type(delta) != ctx.parts:
+            continue
+        a0 = conjugating_element(beta0, delta)
+        if a0 is None:  # same type; cannot happen
+            raise ConsistencyError("missing conjugator for matching types")
+        for z, _ in ctx.pairs():
+            yield compose(a0, z)
+
+
 def test_orbit_walk_matches_raw_coset_walk():
     # every gamma's coset, every transitive alpha, canonicalized one by one:
     # the same representatives in the same order as the orbit-aware walk
@@ -108,6 +127,27 @@ def test_orbit_walk_matches_raw_coset_walk():
                     expected.extend(sorted(canon))
             got = [(c.alpha, c.beta) for c in enumerate_classes(d, prof)]
             assert got == expected, (d, sigma)
+
+
+def _raw_weighted_counts(d, prof):
+    """Per beta type: transitive alphas of the raw coset walk over |C(beta0)|."""
+    out = {}
+    for parts in partitions(d):
+        ctx = _type_context(parts)
+        alphas = _coset_solutions(ctx, prof.parts, d)
+        raw = sum(is_transitive([a, ctx.rep], d) for a in alphas)
+        if raw:
+            out[parts] = Fraction(raw, ctx.order)
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_aut_weighted_counts_match_raw_coset_walk(d):
+    # orbit-stabilizer: a class holds |C(beta0)|/|Aut| transitive alphas of
+    # the raw walk, so the 1/|Aut| sums are raw counts over |C(beta0)|
+    for sigma in partitions(d):
+        prof = RamificationProfile.of(d, sigma)
+        assert aut_weighted_counts(d, prof) == _raw_weighted_counts(d, prof), sigma
 
 
 def _classes_with_probes(rng):
@@ -231,12 +271,22 @@ def test_burnside_rejects_composite_degree():
         count_table(6, prof, method="burnside_prime")
 
 
+def test_burnside_rejects_trivial_sigma_before_any_enumeration(monkeypatch):
+    # commuting transitive pairs of prime degree all have automorphisms
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(covers, "enumerate_classes", no_work)
+    with pytest.raises(ValueError, match="nontrivial sigma"):
+        count_table(5, RamificationProfile.of(5, "1"), method="burnside_prime")
+
+
 def test_capacity_guard():
     prof = RamificationProfile.of(10, "3")
     with pytest.raises(CapacityError):
         enumerate_classes(10, prof)
     assert enumerate_classes(10, prof, max_degree=10) is not None
-    # weighted counts enumerate one beta type and share the bound
+    # weighted counts enumerate and share the bound
     with pytest.raises(CapacityError):
         weighted_count(10, 2, (10,))
 
