@@ -393,12 +393,8 @@ def cmd_genus(args) -> int:
 def cmd_orbifold(args) -> int:
     prof = _profile(args)
     inv = curve_invariants(decompose(args.d, prof, max_degree=args.max_degree))
-    payload = {
-        "d": args.d,
-        "sigma": list(prof.parts),
-        "orbifold": [{"order": p.order, "count": p.count} for p in inv.orbifold],
-        "chi": str(inv.chi),
-    }
+    payload = {"d": args.d, "sigma": list(prof.parts), **inv.as_dict()}
+    del payload["genus"]
     _emit(
         args,
         payload,

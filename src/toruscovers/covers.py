@@ -196,12 +196,15 @@ def canonical_pair(alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
     """Canonical representative of the simultaneous-conjugation class of
     (alpha, beta): beta becomes the fixed representative of its cycle
     type, then alpha is minimized over the remaining freedom (the
-    centralizer of that representative)."""
-    parts = cycle_type(beta)
-    ctx = _type_context(parts)
+    centralizer of that representative), so any conjugator will do."""
+    blocks = sorted(cycles(beta), key=len, reverse=True)
+    ctx = _type_context(tuple(map(len, blocks)))
     if beta != ctx.rep:
-        t = conjugating_element(beta, ctx.rep)
-        assert t is not None
+        # lay the cycles of beta, longest first, onto the consecutive blocks
+        # of the representative: each goes to the next free block of its length
+        t = [0] * len(beta)
+        for i, x in enumerate([x for cyc in blocks for x in cyc]):
+            t[x] = i
         alpha = conjugate(t, alpha)
     return _min_over_elements(alpha, ctx), ctx.rep
 
@@ -238,6 +241,12 @@ class CoverClass:
         return cycle_type(commutator(self.alpha, self.beta))
 
     @cached_property
+    def images(self) -> dict[str, tuple[Perm, Perm]]:
+        """Canonical pair of the image under each twist generator applied
+        so far, filled by :mod:`monodromy` on first use."""
+        return {}
+
+    @cached_property
     def weight(self) -> Fraction:
         """Sum over cycles of beta of 1/length, the multiplicity weight
         this class contributes to M."""
@@ -245,10 +254,30 @@ class CoverClass:
 
     @cached_property
     def stabilizer_order(self) -> int:
-        """Number of simultaneous self-conjugations of the pair."""
+        """Number of simultaneous self-conjugations z of the pair.  The pair
+        is transitive, so z is fixed by z(0): count the points p for which
+        0 -> p extends consistently along alpha and beta."""
+        d = self.degree
+        edges, queue = [], [0]  # each (g, x, g[x]), x in breadth-first order
+        for x in queue:
+            for g in (self.alpha, self.beta):
+                edges.append((g, x, g[x]))
+                if g[x] not in queue:
+                    queue.append(g[x])
+        if len(queue) != d:
+            raise ValueError("pair is not transitive; automorphisms undefined")
+        count = 0
+        for p in range(d):
+            z = [-1] * d
+            z[0] = p
+            for g, x, y in edges:
+                if z[y] < 0:
+                    z[y] = g[z[x]]
+                elif z[y] != g[z[x]]:
+                    break
+            else:
+                count += 1
         ctx = _type_context(self.beta_type)
-        a = self.alpha  # count the z in C(beta) with z a = a z
-        count = sum([z[x] for x in a] == [a[x] for x in z] for z, _ in ctx.pairs())
         if ctx.order % count:
             raise ConsistencyError("stabilizer order does not divide centralizer order")
         return count

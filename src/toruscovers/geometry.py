@@ -143,15 +143,15 @@ def euler_orbifold(genus: int, points: Sequence[OrbifoldPoint]) -> Fraction:
 
 @dataclass(frozen=True)
 class CurveInvariants:
-    genus: int
+    genus: Optional[int]  # None (and chi None) when there are no covers
     orbifold: tuple[OrbifoldPoint, ...]
-    chi: Fraction
+    chi: Optional[Fraction]
 
     def as_dict(self) -> dict:
         return {
             "genus": self.genus,
             "orbifold": [{"order": p.order, "count": p.count} for p in self.orbifold],
-            "chi": str(self.chi),
+            "chi": None if self.chi is None else str(self.chi),
         }
 
 
@@ -167,6 +167,8 @@ def curve_invariants(
     else:
         n = len(component)
         orbits = decomposition.orbits_in_component(component)
+    if n == 0:
+        return CurveInvariants(None, (), None)
     g = genus_from_orbits(n, orbits)
     pts = orbifold_points(decomposition, orbits)
     return CurveInvariants(g, tuple(pts), euler_orbifold(g, pts))

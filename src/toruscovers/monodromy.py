@@ -17,6 +17,7 @@ R: (alpha, beta) -> (beta^-1, alpha).
 
 All generators live in one table; ``action_images`` turns a generator
 into a tuple of class indices, and every orbit query reads those tuples.
+Each class object canonicalizes its image under a generator at most once.
 """
 from __future__ import annotations
 
@@ -52,21 +53,30 @@ def _image_pair(name: str, alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
 
 
 def act(name: str, cover: CoverClass) -> CoverClass:
-    """Apply one generator to a cover class and recanonicalize."""
-    a, b = _image_pair(name, cover.alpha, cover.beta)
-    return CoverClass.from_pair(a, b)
+    """Apply one generator to a cover class and recanonicalize, once per
+    class object and generator (see ``CoverClass.images``)."""
+    if name not in cover.images:
+        a, b = _image_pair(name, cover.alpha, cover.beta)
+        cover.images[name] = canonical_pair(a, b)
+    return CoverClass(*cover.images[name])
 
 
 def action_images(classes: Sequence[CoverClass], name: str) -> tuple[int, ...]:
     """For each class, the index in ``classes`` of its image under one
     generator.  Raises KeyError naming the class when the list is not
-    closed under the generator."""
-    index = {(c.alpha, c.beta): i for i, c in enumerate(classes)}
+    closed under the generator.  Each class memoizes its image as the
+    list's own (alpha, beta) tuple, so it holds no other class object."""
+    keys = [(c.alpha, c.beta) for c in classes]
+    index = {k: i for i, k in enumerate(keys)}
     out = []
     for c in classes:
-        j = index.get(canonical_pair(*_image_pair(name, c.alpha, c.beta)))
+        pair = c.images.get(name)
+        if pair is None:
+            pair = canonical_pair(*_image_pair(name, c.alpha, c.beta))
+        j = index.get(pair)
         if j is None:
             raise KeyError(f"the {name} image of class {c} is not in the list")
+        c.images[name] = keys[j]
         out.append(j)
     return tuple(out)
 

@@ -559,3 +559,19 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["slope"] == "10"
+
+
+@pytest.mark.parametrize("command", ["genus", "orbifold"])
+def test_family_with_no_covers_has_no_curve(command, capsys):
+    # a transposition is odd, so (2, 1^3) admits no covers; Riemann-Hurwitz
+    # over zero classes must not invent a genus-1 curve with chi 0
+    argv = [command, "--d", "5", "--sigma", "2"]
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["chi"] is None and payload["orbifold"] == []
+    assert payload.get("genus", None) is None
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert "chi = None" in out.splitlines()
+    assert command == "orbifold" or "genus = None" in out.splitlines()

@@ -198,6 +198,39 @@ def test_streamed_centralizer_matches_cached(monkeypatch):
     )
 
 
+def _scanned_stabilizer_order(c):
+    """The former ``CoverClass.stabilizer_order``: scan all of C(beta0)
+    for the elements that commute with alpha."""
+    ctx = _type_context(c.beta_type)
+    a = c.alpha  # count the z in C(beta) with z a = a z
+    count = sum([z[x] for x in a] == [a[x] for x in z] for z, _ in ctx.pairs())
+    if ctx.order % count:
+        raise ConsistencyError("stabilizer order does not divide centralizer order")
+    return count
+
+
+@pytest.mark.parametrize(
+    "d,sigmas",
+    [(d, partitions(d)) for d in range(1, 8)] + [(9, [(5,), (3,)])],
+    ids=[str(d) for d in range(1, 8)] + ["9-twist-sets"],
+)
+def test_stabilizer_order_matches_centralizer_scan(d, sigmas):
+    # automorphisms counted from the image of one point against the scan
+    # of C(beta0): every sigma at d <= 7 and the twist-d9 sets (5) and (3)
+    checked = 0
+    for sigma in sigmas:
+        for c in enumerate_classes(d, RamificationProfile.of(d, sigma)):
+            assert c.stabilizer_order == _scanned_stabilizer_order(c), (sigma, str(c))
+            checked += 1
+    assert checked == {1: 1, 2: 3, 3: 7, 4: 26, 5: 97, 6: 624, 7: 4163, 9: 4751}[d]
+
+
+def test_stabilizer_order_rejects_an_intransitive_pair():
+    swap = parse_cycles("(1 2)", 4)
+    with pytest.raises(ValueError, match="not transitive"):
+        CoverClass(swap, swap).stabilizer_order
+
+
 def test_canonical_pair_is_conjugation_invariant():
     d = 5
     a = parse_cycles("(1 2 3 4 5)")

@@ -1,11 +1,33 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from toruscovers.covers import CoverClass, RamificationProfile, enumerate_classes
-from toruscovers.monodromy import act, action_graph_dot, decompose, involution_pairs
+from toruscovers import covers, monodromy
+from toruscovers.covers import (
+    CoverClass,
+    RamificationProfile,
+    canonical_pair,
+    enumerate_classes,
+)
+from toruscovers.monodromy import (
+    ACTION_NAMES,
+    act,
+    action_graph_dot,
+    decompose,
+    involution_pairs,
+)
 from toruscovers.origami import ur_orbits
-from toruscovers.perms import commutator, compose, cycle_type, inverse, parse_cycles
+from toruscovers.perms import (
+    commutator,
+    compose,
+    conjugate,
+    cycle_type,
+    inverse,
+    parse_cycles,
+    partitions,
+)
 
 
 def _cls(alpha, beta, d):
@@ -139,3 +161,80 @@ def test_unknown_action_name_rejected():
     c = _cls("(1 2 3)", "(1 2)", 3)
     with pytest.raises(ValueError):
         act("c", c)
+
+
+def test_each_class_canonicalizes_each_generator_image_once(monkeypatch):
+    prof = RamificationProfile.of(6, "2,2")
+    expected = [
+        decompose(6, prof, enumerate_classes(6, prof)),
+        action_graph_dot(enumerate_classes(6, prof)),
+        ur_orbits(enumerate_classes(6, prof)),
+        involution_pairs(enumerate_classes(6, prof)),
+    ]
+    calls = []
+
+    def counting(alpha, beta):
+        calls.append((alpha, beta))
+        return canonical_pair(alpha, beta)
+
+    monkeypatch.setattr(covers, "canonical_pair", counting)
+    monkeypatch.setattr(monodromy, "canonical_pair", counting)
+    classes = enumerate_classes(6, prof)
+    calls.clear()
+    got = [
+        decompose(6, prof, classes),
+        action_graph_dot(classes),
+        ur_orbits(classes),
+        involution_pairs(classes),
+    ]
+    assert got == expected
+    # a and b (decompose, dot), R (ur_orbits, with b) and inv, once each
+    assert len(classes) == 88
+    assert len(calls) == 4 * len(classes)
+    # the memo holds the list's own tuples, and act reads it
+    for g in ("a", "b", "R", "inv"):
+        for c in classes:
+            img = act(g, c)
+            member = next(m for m in classes if m == img)
+            assert c.images[g][0] is member.alpha and c.images[g][1] is member.beta
+    assert len(calls) == 4 * len(classes)
+    with pytest.raises(ValueError, match="unknown action"):
+        act("c", classes[0])
+
+
+@lru_cache(maxsize=None)
+def _classes_of_degree(d):
+    return tuple(
+        c
+        for sigma in partitions(d)
+        for c in enumerate_classes(d, RamificationProfile.of(d, sigma))
+    )
+
+
+def _twist_closure_holds(c):
+    return (
+        act("a_inv", act("a", c)) == c
+        and act("a", act("a_inv", c)) == c
+        and act("b_inv", act("b", c)) == c
+        and act("b", act("b_inv", c)) == c
+        and act("R", act("R", c)) == act("inv", c)
+        and act("inv", act("inv", c)) == c
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_relabelling_invariance_and_twist_closure(data):
+    d = data.draw(st.integers(1, 7), label="d")
+    c = data.draw(st.sampled_from(_classes_of_degree(d)), label="class")
+    t = tuple(data.draw(st.permutations(range(d)), label="relabelling"))
+    relabelled = CoverClass(conjugate(t, c.alpha), conjugate(t, c.beta))
+    fresh = CoverClass(c.alpha, c.beta)
+    assert fresh.images == {}
+    # the first round fills the memo of fresh and relabelled, the second reads it
+    for _ in range(2):
+        assert canonical_pair(relabelled.alpha, relabelled.beta) == (c.alpha, c.beta)
+        assert relabelled.stabilizer_order == fresh.stabilizer_order
+        assert _twist_closure_holds(fresh)
+        assert all(act(g, relabelled) == act(g, fresh) for g in ACTION_NAMES)
+    assert set(fresh.images) == set(relabelled.images) == set(ACTION_NAMES)
