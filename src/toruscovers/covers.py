@@ -197,15 +197,9 @@ def canonical_pair(alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
     (alpha, beta): beta becomes the fixed representative of its cycle
     type, then alpha is minimized over the remaining freedom (the
     centralizer of that representative), so any conjugator will do."""
-    blocks = sorted(cycles(beta), key=len, reverse=True)
-    ctx = _type_context(tuple(map(len, blocks)))
+    ctx = _type_context(cycle_type(beta))
     if beta != ctx.rep:
-        # lay the cycles of beta, longest first, onto the consecutive blocks
-        # of the representative: each goes to the next free block of its length
-        t = [0] * len(beta)
-        for i, x in enumerate([x for cyc in blocks for x in cyc]):
-            t[x] = i
-        alpha = conjugate(t, alpha)
+        alpha = conjugate(conjugating_element(beta, ctx.rep), alpha)
     return _min_over_elements(alpha, ctx), ctx.rep
 
 

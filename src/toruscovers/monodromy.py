@@ -53,12 +53,8 @@ def _image_pair(name: str, alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
 
 
 def act(name: str, cover: CoverClass) -> CoverClass:
-    """Apply one generator to a cover class and recanonicalize, once per
-    class object and generator (see ``CoverClass.images``)."""
-    if name not in cover.images:
-        a, b = _image_pair(name, cover.alpha, cover.beta)
-        cover.images[name] = canonical_pair(a, b)
-    return CoverClass(*cover.images[name])
+    """Apply one generator to a cover class and recanonicalize."""
+    return CoverClass.from_pair(*_image_pair(name, cover.alpha, cover.beta))
 
 
 def action_images(classes: Sequence[CoverClass], name: str) -> tuple[int, ...]:

@@ -352,37 +352,19 @@ def is_transitive(gens: Sequence[Perm], degree: int) -> bool:
 
 
 def conjugating_element(p: Perm, q: Perm) -> Optional[Perm]:
-    """Lexicographically smallest ``t`` with ``t p t^-1 == q``, or None.
-
-    Greedy point-by-point assignment is lexicographically optimal: the
-    first free position's value differs across candidate images, so the
-    smallest feasible image there dominates any later trade-off.
-    """
-    if len(p) != len(q) or cycle_type(p) != cycle_type(q):
+    """A ``t`` with ``t p t^-1 == q``, or None when the degrees or cycle
+    types differ.  The cycles of each, longest first, are laid onto
+    consecutive points, and ``t`` sends each point of ``p`` to the point of
+    ``q`` laid in the same place."""
+    laid_p = sorted(cycles(p), key=len, reverse=True)
+    laid_q = sorted(cycles(q), key=len, reverse=True)
+    if list(map(len, laid_p)) != list(map(len, laid_q)):
         return None
-    d = len(p)
-    qlen = [0] * d
-    for cyc in cycles(q):
-        for x in cyc:
-            qlen[x] = len(cyc)
-    plen = [0] * d
-    for cyc in cycles(p):
-        for x in cyc:
-            plen[x] = len(cyc)
-    tau = [-1] * d
-    taken = [False] * d
-    for x in range(d):
-        if tau[x] != -1:
-            continue
-        want = plen[x]
-        y = next(y for y in range(d) if not taken[y] and qlen[y] == want)
-        xx, yy = x, y
-        for _ in range(want):
-            tau[xx] = yy
-            taken[yy] = True
-            xx = p[xx]
-            yy = q[yy]
-    return tuple(tau)
+    t = [0] * len(p)
+    for cp, cq in zip(laid_p, laid_q):
+        for x, y in zip(cp, cq):
+            t[x] = y
+    return tuple(t)
 
 
 def _length_blocks(parts: Partition) -> list[tuple[int, list[list[int]]]]:

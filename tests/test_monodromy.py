@@ -15,6 +15,7 @@ from toruscovers.monodromy import (
     ACTION_NAMES,
     act,
     action_graph_dot,
+    action_images,
     decompose,
     involution_pairs,
 )
@@ -191,12 +192,10 @@ def test_each_class_canonicalizes_each_generator_image_once(monkeypatch):
     # a and b (decompose, dot), R (ur_orbits, with b) and inv, once each
     assert len(classes) == 88
     assert len(calls) == 4 * len(classes)
-    # the memo holds the list's own tuples, and act reads it
+    # the memo holds the list's own tuples, and action_images reads it
     for g in ("a", "b", "R", "inv"):
-        for c in classes:
-            img = act(g, c)
-            member = next(m for m in classes if m == img)
-            assert c.images[g][0] is member.alpha and c.images[g][1] is member.beta
+        for c, j in zip(classes, action_images(classes, g)):
+            assert c.images[g][0] is classes[j].alpha and c.images[g][1] is classes[j].beta
     assert len(calls) == 4 * len(classes)
     with pytest.raises(ValueError, match="unknown action"):
         act("c", classes[0])
@@ -209,6 +208,17 @@ def _classes_of_degree(d):
         for sigma in partitions(d)
         for c in enumerate_classes(d, RamificationProfile.of(d, sigma))
     )
+
+
+@lru_cache(maxsize=None)
+def _filled_tables(d):
+    # every generator table of the degree-d classes, read twice: the second
+    # read comes from the memos the first one filled
+    classes = _classes_of_degree(d)
+    first = {g: action_images(classes, g) for g in ACTION_NAMES}
+    second = {g: action_images(classes, g) for g in ACTION_NAMES}
+    assert first == second
+    return second
 
 
 def _twist_closure_holds(c):
@@ -226,15 +236,21 @@ def _twist_closure_holds(c):
 @given(st.data())
 def test_relabelling_invariance_and_twist_closure(data):
     d = data.draw(st.integers(1, 7), label="d")
-    c = data.draw(st.sampled_from(_classes_of_degree(d)), label="class")
+    classes = _classes_of_degree(d)
+    i = data.draw(st.integers(0, len(classes) - 1), label="class")
     t = tuple(data.draw(st.permutations(range(d)), label="relabelling"))
+    c = classes[i]
     relabelled = CoverClass(conjugate(t, c.alpha), conjugate(t, c.beta))
     fresh = CoverClass(c.alpha, c.beta)
     assert fresh.images == {}
-    # the first round fills the memo of fresh and relabelled, the second reads it
-    for _ in range(2):
-        assert canonical_pair(relabelled.alpha, relabelled.beta) == (c.alpha, c.beta)
-        assert relabelled.stabilizer_order == fresh.stabilizer_order
-        assert _twist_closure_holds(fresh)
-        assert all(act(g, relabelled) == act(g, fresh) for g in ACTION_NAMES)
-    assert set(fresh.images) == set(relabelled.images) == set(ACTION_NAMES)
+    assert canonical_pair(relabelled.alpha, relabelled.beta) == (c.alpha, c.beta)
+    assert relabelled.stabilizer_order == fresh.stabilizer_order == c.stabilizer_order
+    assert _twist_closure_holds(fresh)
+    # the same closure read off the tables of the memo-filled list
+    tables = _filled_tables(d)
+    img = {g: table[i] for g, table in tables.items()}
+    assert set(c.images) == set(ACTION_NAMES)
+    assert all(act(g, relabelled) == classes[img[g]] for g in ACTION_NAMES)
+    assert tables["a_inv"][img["a"]] == tables["a"][img["a_inv"]] == i
+    assert tables["b_inv"][img["b"]] == tables["b"][img["b_inv"]] == i
+    assert tables["R"][img["R"]] == img["inv"] and tables["inv"][img["inv"]] == i
