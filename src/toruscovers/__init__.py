@@ -16,7 +16,6 @@ from .covers import (
     RamificationProfile,
     count_table,
     enumerate_classes,
-    weighted_count,
 )
 from .geometry import (
     CurveInvariants,
@@ -28,7 +27,7 @@ from .geometry import (
     slope,
     slope_from_counts,
 )
-from .monodromy import OrbitDecomposition, act, decompose
+from .monodromy import OrbitDecomposition, decompose
 from .origami import SquareTiledSurface, cylinders, render, weierstrass_parity
 
 __version__ = "0.1.0"
@@ -43,7 +42,6 @@ __all__ = [
     "RamificationProfile",
     "SlopeResult",
     "SquareTiledSurface",
-    "act",
     "component_slope",
     "count_table",
     "curve_invariants",
@@ -55,7 +53,6 @@ __all__ = [
     "render",
     "slope",
     "slope_from_counts",
-    "weighted_count",
     "weierstrass_parity",
     "__version__",
 ]

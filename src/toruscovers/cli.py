@@ -644,6 +644,7 @@ def cmd_verify(args) -> int:
     ran = False
     if args.family:
         primes = [int(x) for x in args.primes.split(",")] if args.primes else [5, 7]
+        check_capacity(max(primes), DEFAULT_MAX_DEGREE)
         bad = [p for p in primes if not formulas.is_prime(p)]
         if bad:
             return _fail(EXIT_INVALID, f"--primes must be prime, got {bad}")

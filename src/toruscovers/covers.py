@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .perms import (
@@ -40,6 +41,7 @@ from .perms import (
     cycle_type,
     cycles,
     inverse,
+    orbit_of,
     partition_sign,
     partitions,
     type_rep,
@@ -252,14 +254,12 @@ class CoverClass:
         is transitive, so z is fixed by z(0): count the points p for which
         0 -> p extends consistently along alpha and beta."""
         d = self.degree
-        edges, queue = [], [0]  # each (g, x, g[x]), x in breadth-first order
-        for x in queue:
-            for g in (self.alpha, self.beta):
-                edges.append((g, x, g[x]))
-                if g[x] not in queue:
-                    queue.append(g[x])
-        if len(queue) != d:
+        gens = (self.alpha, self.beta)
+        order = orbit_of(0, gens)
+        if len(order) != d:
             raise ValueError("pair is not transitive; automorphisms undefined")
+        # in breadth-first order every edge leaves a point already reached
+        edges = [(g, x, g[x]) for x in order for g in gens]
         count = 0
         for p in range(d):
             z = [-1] * d
@@ -308,31 +308,18 @@ def period_lattice_index(alpha: Perm, beta: Perm) -> int:
     d = len(alpha)
     if d == 0:
         raise ValueError("empty permutation")
-    pos: dict[int, tuple[int, int]] = {0: (0, 0)}
-    frontier = [0]
-    steps = ((alpha, (1, 0)), (beta, (0, 1)))
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g, (ex, ey) in steps:
-                j = g[i]
-                if j not in pos:
-                    x, y = pos[i]
-                    pos[j] = (x + ex, y + ey)
-                    nxt.append(j)
-        frontier = nxt
-    if len(pos) != d:
+    order = orbit_of(0, (alpha, beta))
+    if len(order) != d:
         raise ValueError("pair is not transitive; period lattice undefined")
+    pos: dict[int, tuple[int, int]] = {0: (0, 0)}
     defects: list[tuple[int, int]] = []
-    for i in range(d):
-        for g, (ex, ey) in steps:
-            j = g[i]
-            wx = pos[i][0] + ex - pos[j][0]
-            wy = pos[i][1] + ey - pos[j][1]
-            if (wx, wy) != (0, 0):
-                defects.append((wx, wy))
-    from math import gcd
-
+    for i in order:  # breadth-first, so pos[i] is set
+        x, y = pos[i]
+        for j, end in ((alpha[i], (x + 1, y)), (beta[i], (x, y + 1))):
+            if j not in pos:
+                pos[j] = end
+            elif end != pos[j]:
+                defects.append((end[0] - pos[j][0], end[1] - pos[j][1]))
     index = 0
     for i, (ax, ay) in enumerate(defects):
         for bx, by in defects[i + 1 :]:
@@ -578,16 +565,3 @@ def count_table(
         )
     raise ValueError(f"unknown method {method!r}")
 
-
-def weighted_count(degree: int, k: int, parts: Partition) -> Fraction:
-    """Number of transitive pairs with beta of the given type and
-    commutator of type (2^k 1^(d-2k)), divided by d!: the type's entry of
-    :func:`aut_weighted_counts`.  Out-of-range or odd k gives zero (no such
-    covers), not an error; degrees past ``DEFAULT_MAX_DEGREE`` raise
-    CapacityError."""
-    if k < 0 or 2 * k > degree or k % 2:
-        return Fraction(0)
-    if sum(parts) != degree:
-        raise ValueError("parts must partition the degree")
-    profile = RamificationProfile.of(degree, [2] * k)
-    return aut_weighted_counts(degree, profile).get(tuple(parts), Fraction(0))

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from math import comb, gcd
+from itertools import groupby, product
+from math import comb, factorial, gcd, prod
 from typing import Iterable, Iterator, Sequence, Union
 
 from .covers import RamificationProfile, check_capacity
@@ -561,6 +561,10 @@ def dejonquieres(genus: int, mu: Sequence[int]) -> int:
 
     mu must be a partition of 2g - 2 with exactly g - 1 parts.
 
+    The coefficient is read off directly: t^m from R^g times t^j from
+    1/P = sum_k (-(P - 1))^k, over 0 <= m_i <= n_i and j = n - m, is
+    (-1)^|j| g!/((g - |m|)! prod m_i!) |j|!/prod j_i! prod a_i^(2 m_i + j_i).
+
     >>> dejonquieres(2, [2])
     6
     >>> dejonquieres(3, [2, 2])
@@ -574,48 +578,17 @@ def dejonquieres(genus: int, mu: Sequence[int]) -> int:
             f"{mu} is not a partition of {2 * genus - 2} into {genus - 1} parts"
         )
     values = _sizes_with_mult(parts)  # [(a_i, n_i)] distinct values
-    nvars = len(values)
-    bounds = tuple(n for _, n in values)
-
-    def trunc_mul(x: dict, y: dict) -> dict:
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ex, cx in x.items():
-            for ey, cy in y.items():
-                ez = tuple(a + b for a, b in zip(ex, ey))
-                if any(e > b for e, b in zip(ez, bounds)):
-                    continue
-                out[ez] = out.get(ez, Fraction(0)) + cx * cy
-        return {e: c for e, c in out.items() if c}
-
-    zero = (0,) * nvars
-
-    def linear(coeff_of) -> dict:
-        poly = {zero: Fraction(1)}
-        for i, (a, _) in enumerate(values):
-            e = tuple(1 if j == i else 0 for j in range(nvars))
-            poly[e] = Fraction(coeff_of(a))
-        return poly
-
-    R = linear(lambda a: a * a)
-    P_minus_1 = {
-        e: c for e, c in linear(lambda a: a).items() if e != zero
-    }
-    numer = {zero: Fraction(1)}
-    for _ in range(genus):
-        numer = trunc_mul(numer, R)
-    # 1/P = sum (-(P-1))^k, truncated at total degree sum(bounds)
-    inv = {zero: Fraction(1)}
-    term = {zero: Fraction(1)}
-    for _ in range(sum(bounds)):
-        term = trunc_mul(term, {e: -c for e, c in P_minus_1.items()})
-        if not term:
-            break
-        for e, c in term.items():
-            inv[e] = inv.get(e, Fraction(0)) + c
-    result = trunc_mul(numer, inv).get(bounds, Fraction(0))
-    if result.denominator != 1:
-        raise ArithmeticError(f"non-integral virtual count {result}")
-    return int(result)
+    total = 0
+    for m in product(*(range(n + 1) for _, n in values)):
+        j = [n - k for (_, n), k in zip(values, m)]
+        numer = factorial(genus) * factorial(sum(j))
+        denom = factorial(genus - sum(m)) * prod(map(factorial, (*m, *j)))
+        coeff, rest = divmod(numer, denom)
+        if rest:
+            raise ArithmeticError(f"non-integral multinomial {numer}/{denom}")
+        powers = prod(a ** (2 * k + l) for (a, _), k, l in zip(values, m, j))
+        total += (-1) ** sum(j) * coeff * powers
+    return total
 
 
 def dejonquieres_positive(max_genus: int = 8) -> bool:

@@ -52,11 +52,6 @@ def _image_pair(name: str, alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
     return _IMAGES[name](alpha, beta)
 
 
-def act(name: str, cover: CoverClass) -> CoverClass:
-    """Apply one generator to a cover class and recanonicalize."""
-    return CoverClass.from_pair(*_image_pair(name, cover.alpha, cover.beta))
-
-
 def action_images(classes: Sequence[CoverClass], name: str) -> tuple[int, ...]:
     """For each class, the index in ``classes`` of its image under one
     generator.  Raises KeyError naming the class when the list is not

@@ -20,7 +20,7 @@ d-cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .covers import CoverClass
 from .monodromy import _image_pair, action_images
@@ -97,47 +97,30 @@ def _cylinder_rows(s: SquareTiledSurface) -> list[list[tuple[int, ...]]]:
     """Cylinders as lists of annuli (bottom first), each annulus a tuple
     of 0-based squares in h-order; cylinders sorted by smallest label."""
     annuli = cycles(s.h)  # includes fixed points as 1-cycles
-    index = {}
-    for n, cyc in enumerate(annuli):
-        for i in cyc:
-            index[i] = n
+    index = {i: n for n, cyc in enumerate(annuli) for i in cyc}
     # annulus -> annulus above it within the same cylinder; v restricted
     # to a smooth interface is a bijection of annuli, so this map is
     # injective and its components are simple chains or simple loops
     # (loops happen when the vertical direction closes up, e.g. on an
     # unramified torus cover)
-    up = {}
-    for n, cyc in enumerate(annuli):
-        if _annulus_merges_up(s, cyc):
-            up[n] = index[s.v[cyc[0]]]
-    merged_into = set(up.values())
+    up = {
+        n: index[s.v[cyc[0]]]
+        for n, cyc in enumerate(annuli)
+        if _annulus_merges_up(s, cyc)
+    }
+    bottoms = sorted(set(range(len(annuli))) - set(up.values()))
     assigned = [False] * len(annuli)
-    stacks: list[list[int]] = []
-    for n in range(len(annuli)):  # chains, from their bottoms
-        if assigned[n] or n in merged_into:
-            continue
-        chain = [n]
-        assigned[n] = True
-        while chain[-1] in up:
-            m = up[chain[-1]]
-            chain.append(m)
-            assigned[m] = True
-        stacks.append(chain)
-    for n in range(len(annuli)):  # what remains are loops
-        if assigned[n]:
-            continue
-        loop = [n]
-        assigned[n] = True
-        m = up[n]
-        while m != n:
-            loop.append(m)
-            assigned[m] = True
-            m = up[m]
-        low = min(range(len(loop)), key=lambda i: min(annuli[loop[i]]))
-        stacks.append(loop[low:] + loop[:low])
     out = []
-    for chain in stacks:
-        stack = [annuli[m] for m in chain]
+    # chains from their bottoms, then loops from their smallest annulus
+    for start in bottoms + list(range(len(annuli))):
+        stack = []
+        m: Optional[int] = start
+        while m is not None and not assigned[m]:
+            assigned[m] = True
+            stack.append(annuli[m])
+            m = up.get(m)
+        if not stack:
+            continue
         if len({len(a) for a in stack}) != 1:
             raise RuntimeError("merged annuli of unequal circumference")
         out.append(stack)

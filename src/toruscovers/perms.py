@@ -310,19 +310,18 @@ def class_elements(parts: Partition, degree: Optional[int] = None) -> Iterator[P
 # transitivity, conjugators, centralizers
 
 
-def orbit_of(point: int, gens: Sequence[Perm]) -> set[int]:
+def orbit_of(point: int, gens: Sequence[Perm]) -> list[int]:
+    """Orbit of ``point`` in breadth-first order, taking the generators in
+    the given order at each point."""
     seen = {point}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+    out = [point]
+    for x in out:
+        for g in gens:
+            y = g[x]
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
 
 
 def orbits(gens: Sequence[Perm], degree: int) -> list[tuple[int, ...]]:
@@ -333,7 +332,7 @@ def orbits(gens: Sequence[Perm], degree: int) -> list[tuple[int, ...]]:
     for start in range(degree):
         if start not in seen:
             orbit = orbit_of(start, gens)
-            seen |= orbit
+            seen.update(orbit)
             out.append(tuple(sorted(orbit)))
     return out
 

@@ -16,7 +16,7 @@ from toruscovers.characters import (
     series_log,
     tau_type,
 )
-from toruscovers.covers import CapacityError, weighted_count
+from toruscovers.covers import CapacityError, RamificationProfile, aut_weighted_counts
 from toruscovers.perms import (
     commutator,
     cycle_type,
@@ -145,7 +145,9 @@ def test_series_exp_log_round_trip():
 def test_connected_coefficients_are_weighted_counts():
     _, ztilde = build_generating_functions(5)
     for (parts, k), coeff in ztilde.coeffs.items():
-        assert coeff == weighted_count(sum(parts), k, parts)
+        d = sum(parts)
+        weighted = aut_weighted_counts(d, RamificationProfile.of(d, [2] * k))
+        assert coeff == weighted.get(parts, 0)
 
 
 def test_hand_checked_degree_two_coefficients():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from toruscovers import characters, cli, formulas
-from toruscovers.covers import ConsistencyError
+from toruscovers.covers import ConsistencyError, RamificationProfile
 from toruscovers.cli import (
     CACHE_VERSION,
     CacheError,
@@ -161,6 +161,29 @@ def test_verify_family_passes_every_check(family, capsys):
     assert all(line.startswith("PASS") for line in lines)
     for d in (5, 7):
         assert any(f"{family} d={d}: closed N=" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "primes", ["4000037", "2305843009213693951", "5,12"],
+    ids=["past-bound-prime", "mersenne-61", "composite-past-bound"],
+)
+def test_verify_primes_past_the_bound_is_exit_3_before_any_work(
+    primes, capsys, monkeypatch
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the capacity bound")
+
+    monkeypatch.setattr(formulas, "is_prime", no_work)
+    monkeypatch.setattr(RamificationProfile, "of", no_work)
+    code, out, err = run(["verify", "--family", "g2_31", "--primes", primes], capsys)
+    assert code == 3 and out == ""
+    assert "bound 9" in err
+
+
+def test_verify_composite_prime_within_the_bound_is_exit_2(capsys):
+    code, out, err = run(["verify", "--family", "g2_31", "--primes", "5,8"], capsys)
+    assert code == 2 and out == ""
+    assert "[8]" in err
 
 
 def test_verify_needs_a_target(capsys):

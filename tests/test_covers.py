@@ -6,7 +6,8 @@ library must agree with it exactly on every count."""
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, gcd
 
 import pytest
 
@@ -22,7 +23,6 @@ from toruscovers.covers import (
     count_table,
     enumerate_classes,
     period_lattice_index,
-    weighted_count,
 )
 from toruscovers.perms import (
     class_elements,
@@ -209,20 +209,80 @@ def _scanned_stabilizer_order(c):
     return count
 
 
-@pytest.mark.parametrize(
-    "d,sigmas",
-    [(d, partitions(d)) for d in range(1, 8)] + [(9, [(5,), (3,)])],
-    ids=[str(d) for d in range(1, 8)] + ["9-twist-sets"],
-)
+# every sigma at d <= 7 and the twist-d9 sets (5) and (3)
+ORACLE_SETS = [(d, tuple(partitions(d))) for d in range(1, 8)] + [(9, ((5,), (3,)))]
+ORACLE_IDS = [str(d) for d in range(1, 8)] + ["9-twist-sets"]
+
+
+@lru_cache(maxsize=None)
+def _oracle_classes(d, sigmas):
+    classes = tuple(
+        c for sigma in sigmas for c in enumerate_classes(d, RamificationProfile.of(d, sigma))
+    )
+    assert len(classes) == {1: 1, 2: 3, 3: 7, 4: 26, 5: 97, 6: 624, 7: 4163, 9: 4751}[d]
+    return classes
+
+
+@pytest.mark.parametrize("d,sigmas", ORACLE_SETS, ids=ORACLE_IDS)
 def test_stabilizer_order_matches_centralizer_scan(d, sigmas):
     # automorphisms counted from the image of one point against the scan
-    # of C(beta0): every sigma at d <= 7 and the twist-d9 sets (5) and (3)
-    checked = 0
-    for sigma in sigmas:
-        for c in enumerate_classes(d, RamificationProfile.of(d, sigma)):
-            assert c.stabilizer_order == _scanned_stabilizer_order(c), (sigma, str(c))
-            checked += 1
-    assert checked == {1: 1, 2: 3, 3: 7, 4: 26, 5: 97, 6: 624, 7: 4163, 9: 4751}[d]
+    # of C(beta0)
+    for c in _oracle_classes(d, sigmas):
+        assert c.stabilizer_order == _scanned_stabilizer_order(c), str(c)
+
+
+def _two_pass_period_lattice_index(alpha, beta):
+    """The former ``period_lattice_index``: positions from a level-by-level
+    search, then a second pass over every edge for the closing defects."""
+    d = len(alpha)
+    pos = {0: (0, 0)}
+    frontier = [0]
+    steps = ((alpha, (1, 0)), (beta, (0, 1)))
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for g, (ex, ey) in steps:
+                j = g[i]
+                if j not in pos:
+                    x, y = pos[i]
+                    pos[j] = (x + ex, y + ey)
+                    nxt.append(j)
+        frontier = nxt
+    assert len(pos) == d
+    defects = []
+    for i in range(d):
+        for g, (ex, ey) in steps:
+            j = g[i]
+            wx = pos[i][0] + ex - pos[j][0]
+            wy = pos[i][1] + ey - pos[j][1]
+            if (wx, wy) != (0, 0):
+                defects.append((wx, wy))
+    index = 0
+    for i, (ax, ay) in enumerate(defects):
+        for bx, by in defects[i + 1 :]:
+            index = gcd(index, abs(ax * by - ay * bx))
+    return index
+
+
+@pytest.mark.parametrize("d,sigmas", ORACLE_SETS, ids=ORACLE_IDS)
+def test_period_lattice_index_matches_two_pass_route(d, sigmas):
+    for c in _oracle_classes(d, sigmas):
+        want = _two_pass_period_lattice_index(c.alpha, c.beta)
+        assert period_lattice_index(c.alpha, c.beta) == want, str(c)
+
+
+def test_period_lattice_index_errors():
+    a = parse_cycles("(1 2)", 4)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        period_lattice_index(a, parse_cycles("(1 2)", 3))
+    with pytest.raises(ValueError, match="empty permutation"):
+        period_lattice_index((), ())
+    with pytest.raises(ValueError, match="not transitive"):
+        period_lattice_index(a, a)
+    # at d=1 both generators may be one tuple object; each is still its own
+    # direction, so the lattice is all of Z^2
+    one = (0,)
+    assert period_lattice_index(one, one) == 1
 
 
 def test_stabilizer_order_rejects_an_intransitive_pair():
@@ -321,7 +381,7 @@ def test_capacity_guard():
     assert enumerate_classes(10, prof, max_degree=10) is not None
     # weighted counts enumerate and share the bound
     with pytest.raises(CapacityError):
-        weighted_count(10, 2, (10,))
+        aut_weighted_counts(10, RamificationProfile.of(10, [2, 2]))
 
 
 def test_weighted_count_against_raw_pair_scan():
@@ -339,13 +399,8 @@ def test_weighted_count_against_raw_pair_scan():
             and cycle_type(commutator(a, b)) == target
             and is_transitive([a, b], d)
         )
-        assert weighted_count(d, k, parts) == Fraction(raw, factorial(d))
-
-
-def test_weighted_count_edge_cases():
-    assert weighted_count(4, -1, (4,)) == 0
-    assert weighted_count(4, 3, (4,)) == 0  # 2k > d
-    assert weighted_count(4, 1, (3, 1)) >= 0
+        weighted = aut_weighted_counts(d, RamificationProfile.of(d, [2] * k))
+        assert weighted.get(parts, 0) == Fraction(raw, factorial(d))
 
 
 def test_period_lattice_index_and_primitivity():

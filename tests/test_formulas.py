@@ -30,7 +30,7 @@ from toruscovers.formulas import (
     sum_identity_l1l2,
 )
 from toruscovers.geometry import slope_from_counts
-from toruscovers.perms import type_weight
+from toruscovers.perms import partitions, type_weight
 
 # Frozen from direct enumeration (degree 7, all transitive classes up to
 # simultaneous conjugation, bucketed by the cycle type of beta).
@@ -289,6 +289,61 @@ def test_dejonquieres_classical_counts():
     assert dejonquieres(3, [2, 2]) == 28  # bitangents of a plane quartic
     assert dejonquieres(3, [3, 1]) == 24  # inflection lines
     assert dejonquieres_positive(6)
+
+
+def _series_dejonquieres(genus, parts):
+    """The former ``dejonquieres``: R^g times the truncated series of 1/P,
+    multiplied out as polynomials over Fraction."""
+    values = [(a, parts.count(a)) for a in sorted(set(parts), reverse=True)]
+    nvars = len(values)
+    bounds = tuple(n for _, n in values)
+
+    def trunc_mul(x, y):
+        out = {}
+        for ex, cx in x.items():
+            for ey, cy in y.items():
+                ez = tuple(a + b for a, b in zip(ex, ey))
+                if any(e > b for e, b in zip(ez, bounds)):
+                    continue
+                out[ez] = out.get(ez, Fraction(0)) + cx * cy
+        return {e: c for e, c in out.items() if c}
+
+    zero = (0,) * nvars
+
+    def linear(coeff_of):
+        poly = {zero: Fraction(1)}
+        for i, (a, _) in enumerate(values):
+            e = tuple(1 if j == i else 0 for j in range(nvars))
+            poly[e] = Fraction(coeff_of(a))
+        return poly
+
+    R = linear(lambda a: a * a)
+    P_minus_1 = {e: c for e, c in linear(lambda a: a).items() if e != zero}
+    numer = {zero: Fraction(1)}
+    for _ in range(genus):
+        numer = trunc_mul(numer, R)
+    inv = {zero: Fraction(1)}
+    term = {zero: Fraction(1)}
+    for _ in range(sum(bounds)):
+        term = trunc_mul(term, {e: -c for e, c in P_minus_1.items()})
+        if not term:
+            break
+        for e, c in term.items():
+            inv[e] = inv.get(e, Fraction(0)) + c
+    result = trunc_mul(numer, inv).get(bounds, Fraction(0))
+    assert result.denominator == 1
+    return int(result)
+
+
+def test_dejonquieres_matches_series_route():
+    # every partition of 2g - 2 into g - 1 parts, g = 2..10
+    checked = 0
+    for g in range(2, 11):
+        for parts in partitions(2 * g - 2):
+            if len(parts) == g - 1:
+                assert dejonquieres(g, parts) == _series_dejonquieres(g, parts), parts
+                checked += 1
+    assert checked == 96
 
 
 def test_dejonquieres_rejects_malformed_input():

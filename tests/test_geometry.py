@@ -1,6 +1,8 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruscovers.covers import ConsistencyError, RamificationProfile, count_table, enumerate_classes
 from toruscovers.geometry import (
@@ -15,6 +17,7 @@ from toruscovers.geometry import (
     slope_from_counts,
 )
 from toruscovers.monodromy import decompose
+from toruscovers.perms import partitions
 
 
 def test_slope_ingredients_smallest_case():
@@ -139,3 +142,35 @@ def test_invariants_as_dict_serializes_fractions_as_strings():
     d = curve_invariants(dec).as_dict()
     assert d["chi"] == "-1304/5"
     assert isinstance(d["genus"], int)
+
+
+@lru_cache(maxsize=None)
+def _decompositions(d):
+    """Every sigma of degree d that has covers, with its decomposition."""
+    out = []
+    for sigma in partitions(d):
+        prof = RamificationProfile.of(d, sigma)
+        dec = decompose(d, prof)
+        if dec.classes:
+            out.append(dec)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_local_orbits_lie_in_one_component_and_riemann_hurwitz_parity(data):
+    d = data.draw(st.integers(1, 7), label="d")
+    dec = data.draw(st.sampled_from(_decompositions(d)), label="sigma")
+    comp_of = {i: n for n, comp in enumerate(dec.components) for i in comp}
+    for orbit in dec.local_orbits:
+        assert len({comp_of[i] for i in orbit}) == 1
+    # -2N + 12 sum(|o| - 1) = 2g - 2 over the base, for the whole curve
+    # (component None) and for each component
+    curves = [(len(dec.classes), dec.local_orbits, None)] + [
+        (len(c), dec.orbits_in_component(c), c) for c in dec.components
+    ]
+    for n, orbits, comp in curves:
+        rhs = -2 * n + 12 * sum(len(o) - 1 for o in orbits)
+        assert rhs % 2 == 0
+        assert (rhs + 2) // 2 >= 0
+        assert curve_invariants(dec, comp).genus == (rhs + 2) // 2

@@ -13,7 +13,7 @@ from toruscovers.covers import (
 )
 from toruscovers.monodromy import (
     ACTION_NAMES,
-    act,
+    _image_pair,
     action_graph_dot,
     action_images,
     decompose,
@@ -35,11 +35,16 @@ def _cls(alpha, beta, d):
     return CoverClass.from_pair(parse_cycles(alpha, d), parse_cycles(beta, d))
 
 
+def _image(name, c):
+    """One generator image of a class, canonicalized afresh."""
+    return CoverClass.from_pair(*_image_pair(name, c.alpha, c.beta))
+
+
 def test_actions_preserve_commutator_class_and_transitivity():
     prof = RamificationProfile.of(5, "3")
     for c in enumerate_classes(5, prof):
         for name in ("a", "b", "inv"):
-            img = act(name, c)
+            img = _image(name, c)
             assert img.commutator_type == c.commutator_type
             assert img.degree == c.degree
 
@@ -47,11 +52,11 @@ def test_actions_preserve_commutator_class_and_transitivity():
 def test_action_images_on_a_known_pair():
     c = _cls("(1 5)", "(1 2 3 4)", 5)
     a, b = c.alpha, c.beta
-    img = act("a", CoverClass.from_pair(a, b))
+    img = _image("a", CoverClass.from_pair(a, b))
     # a: (alpha, beta) -> (alpha, alpha beta), up to conjugation
     want = CoverClass.from_pair(a, compose(a, b))
     assert (img.alpha, img.beta) == (want.alpha, want.beta)
-    img = act("b", CoverClass.from_pair(a, b))
+    img = _image("b", CoverClass.from_pair(a, b))
     want = CoverClass.from_pair(compose(a, b), b)
     assert (img.alpha, img.beta) == (want.alpha, want.beta)
 
@@ -61,14 +66,14 @@ def test_actions_are_invertible_on_the_class_set():
     classes = enumerate_classes(6, prof)
     keys = {(c.alpha, c.beta) for c in classes}
     for name in ("a", "b", "inv"):
-        images = {(i.alpha, i.beta) for i in (act(name, c) for c in classes)}
+        images = {(i.alpha, i.beta) for i in (_image(name, c) for c in classes)}
         assert images == keys
 
 
 def test_inv_is_an_involution():
     prof = RamificationProfile.of(5, "2,2")
     for c in enumerate_classes(5, prof):
-        twice = act("inv", act("inv", c))
+        twice = _image("inv", _image("inv", c))
         assert (twice.alpha, twice.beta) == (c.alpha, c.beta)
 
 
@@ -118,10 +123,10 @@ def test_quotient_count_and_fixed_classes():
     swapped = [(i, j) for i, j in pairs if j is not None]
     assert len(fixed) + 2 * len(swapped) == len(classes)
     for i in fixed:
-        img = act("inv", classes[i])
+        img = _image("inv", classes[i])
         assert (img.alpha, img.beta) == (classes[i].alpha, classes[i].beta)
     for i, j in swapped:
-        img = act("inv", classes[i])
+        img = _image("inv", classes[i])
         assert (img.alpha, img.beta) == (classes[j].alpha, classes[j].beta)
 
 
@@ -142,7 +147,7 @@ def test_queries_reject_a_list_not_closed_under_the_action(query):
         run()
     named = [c for c in kept if f"of class {c} " in str(err.value)]
     assert len(named) == 1
-    images = [act(g, named[0]) for g in gens]
+    images = [_image(g, named[0]) for g in gens]
     assert (dropped.alpha, dropped.beta) in {(c.alpha, c.beta) for c in images}
     if query == "involution_pairs":
         assert named[0] == classes[i]
@@ -160,8 +165,8 @@ def test_action_graph_dot_mentions_every_class():
 
 def test_unknown_action_name_rejected():
     c = _cls("(1 2 3)", "(1 2)", 3)
-    with pytest.raises(ValueError):
-        act("c", c)
+    with pytest.raises(ValueError, match="unknown action"):
+        _image_pair("c", c.alpha, c.beta)
 
 
 def test_each_class_canonicalizes_each_generator_image_once(monkeypatch):
@@ -198,7 +203,7 @@ def test_each_class_canonicalizes_each_generator_image_once(monkeypatch):
             assert c.images[g][0] is classes[j].alpha and c.images[g][1] is classes[j].beta
     assert len(calls) == 4 * len(classes)
     with pytest.raises(ValueError, match="unknown action"):
-        act("c", classes[0])
+        action_images(classes, "c")
 
 
 @lru_cache(maxsize=None)
@@ -221,15 +226,18 @@ def _filled_tables(d):
     return second
 
 
-def _twist_closure_holds(c):
-    return (
-        act("a_inv", act("a", c)) == c
-        and act("a", act("a_inv", c)) == c
-        and act("b_inv", act("b", c)) == c
-        and act("b", act("b_inv", c)) == c
-        and act("R", act("R", c)) == act("inv", c)
-        and act("inv", act("inv", c)) == c
-    )
+@pytest.mark.parametrize("d", range(1, 7))
+def test_twist_closure_on_action_tables(d):
+    # for every sigma: a_inv after a, b_inv after b and inv twice are the
+    # identity, and R twice is inv, read off the index tables of the list
+    for sigma in partitions(d):
+        classes = enumerate_classes(d, RamificationProfile.of(d, sigma))
+        t = {g: action_images(classes, g) for g in ACTION_NAMES}
+        for i in range(len(classes)):
+            assert t["a_inv"][t["a"][i]] == t["a"][t["a_inv"][i]] == i
+            assert t["b_inv"][t["b"][i]] == t["b"][t["b_inv"][i]] == i
+            assert t["R"][t["R"][i]] == t["inv"][i]
+            assert t["inv"][t["inv"][i]] == i
 
 
 @settings(max_examples=80, deadline=None)
@@ -239,18 +247,20 @@ def test_relabelling_invariance_and_twist_closure(data):
     classes = _classes_of_degree(d)
     i = data.draw(st.integers(0, len(classes) - 1), label="class")
     t = tuple(data.draw(st.permutations(range(d)), label="relabelling"))
+    g = data.draw(st.sampled_from(ACTION_NAMES), label="generator")
     c = classes[i]
     relabelled = CoverClass(conjugate(t, c.alpha), conjugate(t, c.beta))
     fresh = CoverClass(c.alpha, c.beta)
     assert fresh.images == {}
     assert canonical_pair(relabelled.alpha, relabelled.beta) == (c.alpha, c.beta)
     assert relabelled.stabilizer_order == fresh.stabilizer_order == c.stabilizer_order
-    assert _twist_closure_holds(fresh)
-    # the same closure read off the tables of the memo-filled list
+    # the closure read off the tables of the memo-filled list, and one
+    # image of the relabelled pair canonicalized afresh
     tables = _filled_tables(d)
-    img = {g: table[i] for g, table in tables.items()}
+    img = {name: table[i] for name, table in tables.items()}
     assert set(c.images) == set(ACTION_NAMES)
-    assert all(act(g, relabelled) == classes[img[g]] for g in ACTION_NAMES)
+    image = CoverClass.from_pair(*_image_pair(g, relabelled.alpha, relabelled.beta))
+    assert image == classes[img[g]]
     assert tables["a_inv"][img["a"]] == tables["a"][img["a_inv"]] == i
     assert tables["b_inv"][img["b"]] == tables["b"][img["b_inv"]] == i
     assert tables["R"][img["R"]] == img["inv"] and tables["inv"][img["inv"]] == i

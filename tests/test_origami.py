@@ -9,6 +9,7 @@ from toruscovers.covers import CoverClass, RamificationProfile, enumerate_classe
 from toruscovers.monodromy import decompose
 from toruscovers.origami import (
     SquareTiledSurface,
+    _cylinder_rows,
     act_R,
     act_U,
     cylinders,
@@ -25,8 +26,10 @@ from toruscovers.perms import (
     commutator,
     conjugate,
     cycle_string,
+    cycles,
     inverse,
     parse_cycles,
+    partitions,
 )
 
 
@@ -76,6 +79,67 @@ def test_cylinder_area_equals_degree():
         for c in enumerate_classes(d, prof):
             s = SquareTiledSurface.from_pair(c)
             assert sum(w * h for w, h in cylinders(s)) == d
+
+
+def _two_pass_cylinder_rows(s):
+    """The former ``_cylinder_rows``: chains from their bottoms in one
+    pass, then the leftover loops, each turned to start at the annulus
+    holding the smallest square."""
+    annuli = cycles(s.h)
+    index = {}
+    for n, cyc in enumerate(annuli):
+        for i in cyc:
+            index[i] = n
+    up = {}
+    for n, cyc in enumerate(annuli):
+        if all(s.h[s.v[i]] == s.v[s.h[i]] for i in cyc):
+            up[n] = index[s.v[cyc[0]]]
+    merged_into = set(up.values())
+    assigned = [False] * len(annuli)
+    stacks = []
+    for n in range(len(annuli)):  # chains, from their bottoms
+        if assigned[n] or n in merged_into:
+            continue
+        chain = [n]
+        assigned[n] = True
+        while chain[-1] in up:
+            m = up[chain[-1]]
+            chain.append(m)
+            assigned[m] = True
+        stacks.append(chain)
+    for n in range(len(annuli)):  # what remains are loops
+        if assigned[n]:
+            continue
+        loop = [n]
+        assigned[n] = True
+        m = up[n]
+        while m != n:
+            loop.append(m)
+            assigned[m] = True
+            m = up[m]
+        low = min(range(len(loop)), key=lambda i: min(annuli[loop[i]]))
+        stacks.append(loop[low:] + loop[:low])
+    out = []
+    for chain in stacks:
+        stack = [annuli[m] for m in chain]
+        if len({len(a) for a in stack}) != 1:
+            raise RuntimeError("merged annuli of unequal circumference")
+        out.append(stack)
+    out.sort(key=lambda st: min(min(a) for a in st))
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_cylinder_rows_match_two_pass_walk(d):
+    # every class of every sigma, with its quarter-turn and shear images
+    checked = 0
+    for sigma in partitions(d):
+        for c in enumerate_classes(d, RamificationProfile.of(d, sigma)):
+            s = SquareTiledSurface.from_pair(c)
+            for t in (s, act_R(s), act_U(s)):
+                assert _cylinder_rows(t) == _two_pass_cylinder_rows(t), str(t)
+                checked += 1
+    assert checked == 3 * {1: 1, 2: 3, 3: 7, 4: 26, 5: 97, 6: 624, 7: 4163}[d]
 
 
 def test_vertical_loop_cylinder():
