@@ -240,10 +240,6 @@ class GenSeries:
     d_max: int
     coeffs: Mapping[Key, Fraction]
 
-    def coefficient(self, parts: Sequence[int], k: int) -> Fraction:
-        key = (tuple(sorted((int(x) for x in parts), reverse=True)), k)
-        return self.coeffs.get(key, Fraction(0))
-
     def as_dict(self) -> dict:
         return {
             "flavor": self.flavor,

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import characters as chars
 from . import formulas
@@ -31,7 +31,7 @@ from .covers import (
 )
 from .geometry import component_rows, curve_invariants, slope, slope_from_counts
 from .monodromy import decompose
-from .perms import parse_cycles
+from .perms import commutator, cycle_string, parse_cycles
 
 EXIT_VERIFY = 1
 EXIT_INVALID = 2
@@ -265,13 +265,22 @@ def cmd_counts(args) -> int:
     payload = cache.get(key) if cache else None
     if not _counts_ok(payload):
         if formula:
-            payload = _counts_via_formula(args.d, prof)
-            if payload is None:
+            family = formulas.family_of(prof)
+            if family is None or not formulas.is_prime(args.d):
                 return _fail(
                     EXIT_INVALID,
                     "--method formula needs prime d and sigma in one of the "
                     "closed-form families (3 | 2,2 | 5)",
                 )
+            N, M = formulas.closed_N_M(args.d, family)
+            payload = {
+                "d": args.d,
+                "sigma": list(prof.parts),
+                "family": family,
+                "N": N,
+                "M": str(M),
+                "slope": str(slope_from_counts(prof, N, M).slope),
+            }
         else:
             method = "burnside_prime" if args.method == "burnside" else args.method
             table = count_table(
@@ -294,34 +303,6 @@ def cmd_counts(args) -> int:
     ]
     _emit(args, payload, lines)
     return 0
-
-
-def _family_of(d: int, prof: RamificationProfile) -> Optional[str]:
-    for family in formulas.FAMILIES:
-        try:
-            sig = RamificationProfile.of(d, formulas.family_sigma(family))
-        except ValueError:
-            continue
-        if sig.parts == prof.parts:
-            return family
-    return None
-
-
-def _counts_via_formula(d: int, prof: RamificationProfile) -> Optional[dict]:
-    family = _family_of(d, prof)
-    if family is not None:
-        if not formulas.is_prime(d):
-            return None
-        N, M = formulas.closed_N_M(d, family)
-        return {
-            "d": d,
-            "sigma": list(prof.parts),
-            "family": family,
-            "N": N,
-            "M": str(M),
-            "slope": str(slope_from_counts(prof, N, M).slope),
-        }
-    return None
 
 
 def cmd_slope(args) -> int:
@@ -367,7 +348,7 @@ def cmd_genus(args) -> int:
         "sigma": list(prof.parts),
         **inv.as_dict(),
     }
-    family = _family_of(args.d, prof)
+    family = formulas.family_of(prof)
     if family in ("g2_31", "g2_22") and formulas.is_prime(args.d) and args.d >= 5:
         payload["closed_form"] = formulas.genus_closed(
             args.d, family
@@ -450,109 +431,81 @@ def cmd_genfun_check(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification bundles (one per acceptance scenario)
+# verification bundles (one per acceptance scenario); each yields
+# (label, ok) pairs
+
+Check = tuple[str, bool]
 
 
-def _check(lines: list[str], label: str, ok: bool) -> bool:
-    lines.append(f"{'PASS' if ok else 'FAIL'}  {label}")
-    return ok
-
-
-def verify_family(family: str, primes: Sequence[int], lines: list[str]) -> bool:
+def verify_family(family: str, primes: Sequence[int]) -> Iterator[Check]:
     """Closed per-type formulas and totals against brute force."""
-    ok = True
     for d in primes:
         prof = RamificationProfile.of(d, formulas.family_sigma(family))
         counted = count_table(d, prof)
-        table = dict(counted.by_type)
-        good = True
-        for parts, n in table.items():
-            try:
-                good &= formulas.per_type_N(d, family, parts) == n
-            except formulas.UnclassifiedTypeError:
-                good = False
-        # types the formulas predict but enumeration misses must be absent
-        for parts in formulas.admissible_types(d, family):
-            pred = formulas.per_type_N(d, family, parts)
-            if pred != table.get(parts, 0):
-                good = False
-        ok &= _check(lines, f"{family} d={d}: per-type table", good)
+        closed = {
+            t: formulas.per_type_N(d, family, t)
+            for t in formulas.admissible_types(d, family)
+        }
+        yield (
+            f"{family} d={d}: per-type table",
+            {t: n for t, n in closed.items() if n} == dict(counted.by_type),
+        )
         N, M = counted.N, counted.M
         aN, aM = formulas.assembled_N_M(d, family)
-        ok &= _check(
-            lines, f"{family} d={d}: assembled N={aN} M={aM}", (aN, aM) == (N, M)
-        )
+        yield f"{family} d={d}: assembled N={aN} M={aM}", (aN, aM) == (N, M)
         cN, cM = formulas.closed_N_M(d, family)
-        ok &= _check(
-            lines, f"{family} d={d}: closed N={cN} M={cM}", (cN, cM) == (N, M)
-        )
-    return ok
+        yield f"{family} d={d}: closed N={cN} M={cM}", (cN, cM) == (N, M)
 
 
-def verify_appendix(lines: list[str]) -> bool:
-    ok = _check(lines, "Ramanujan differential equations to order 200",
-                formulas.ramanujan_check(200))
-    conv = all(
-        (lambda p: p[0] == p[1])(formulas.convolution_identity(d))
-        for d in range(2, 501)
+def verify_appendix() -> Iterator[Check]:
+    yield (
+        "Ramanujan differential equations to order 200",
+        formulas.ramanujan_check(200),
     )
-    ok &= _check(lines, "divisor-sum convolution identity, 2 <= d <= 500", conv)
-    l1l2 = all(
-        (lambda p: p[0] == p[1])(formulas.sum_identity_l1l2(d))
-        for d in range(2, 201)
+    yield (
+        "divisor-sum convolution identity, 2 <= d <= 500",
+        all(a == b for a, b in map(formulas.convolution_identity, range(2, 501))),
     )
-    ok &= _check(lines, "two-size l1*l2 sum identity, 2 <= d <= 200", l1l2)
-    primes = [p for p in formulas.primes_up_to(199) if p >= 2]
-    pc = all(
-        formulas.convolution_identity(p)[0] == formulas.prime_convolution_value(p)
-        for p in primes
+    yield (
+        "two-size l1*l2 sum identity, 2 <= d <= 200",
+        all(a == b for a, b in map(formulas.sum_identity_l1l2, range(2, 201))),
     )
-    ok &= _check(lines, "prime closed form (d-1)(d+1)(5d-6)/12, primes <= 199", pc)
-    return ok
+    yield (
+        "prime closed form (d-1)(d+1)(5d-6)/12, primes <= 199",
+        all(
+            formulas.convolution_identity(p)[0] == formulas.prime_convolution_value(p)
+            for p in formulas.primes_up_to(199)
+        ),
+    )
 
 
-def verify_dejonquieres(lines: list[str]) -> bool:
-    ok = _check(lines, "genus 2, mu=(2) -> 6", formulas.dejonquieres(2, [2]) == 6)
-    ok &= _check(
-        lines, "genus 3, mu=(2,2) -> 28", formulas.dejonquieres(3, [2, 2]) == 28
-    )
-    ok &= _check(
-        lines,
+def verify_dejonquieres() -> Iterator[Check]:
+    yield "genus 2, mu=(2) -> 6", formulas.dejonquieres(2, [2]) == 6
+    yield "genus 3, mu=(2,2) -> 28", formulas.dejonquieres(3, [2, 2]) == 28
+    yield (
         "positivity for all canonical types with g-1 parts, g <= 8",
         formulas.dejonquieres_positive(8),
     )
-    return ok
 
 
-def verify_slope10(lines: list[str]) -> bool:
-    ok = True
-    for sigma in ("3", "2,2"):
-        for d in range(3, 10):
-            try:
-                prof = RamificationProfile.of(d, sigma)
-            except ValueError:
-                continue
-            if not prof.admits_covers:
-                continue
+def verify_slope10() -> Iterator[Check]:
+    for sigma, low in (("3", 3), ("2,2", 4)):
+        for d in range(low, 10):
+            prof = RamificationProfile.of(d, sigma)
             rows = component_rows(prof, decompose(d, prof))
-            if not rows:
-                continue
-            ok &= _check(
-                lines,
-                f"sigma=({sigma}) d={d}: slope 10 on all {len(rows)} components",
-                all(r["slope"] == "10" for r in rows),
-            )
-    return ok
+            if rows:
+                yield (
+                    f"sigma=({sigma}) d={d}: slope 10 on all {len(rows)} components",
+                    all(r["slope"] == "10" for r in rows),
+                )
 
 
-def verify_components(lines: list[str]) -> bool:
-    got = []
-    for d in range(3, 9):
-        prof = RamificationProfile.of(d, "3")
-        dec = decompose(d, prof)
-        got.append(len(dec.primitive_components()))
-    ok = _check(
-        lines,
+def verify_components() -> Iterator[Check]:
+    got = [
+        len(decompose(d, RamificationProfile.of(d, "3")).primitive_components())
+        for d in range(3, 9)
+    ]
+    yield (
         f"primitive component counts sigma=(3,1^(d-3)), d=3..8: {got}",
         got == [1, 1, 2, 1, 2, 1],
     )
@@ -560,66 +513,47 @@ def verify_components(lines: list[str]) -> bool:
     rows = component_rows(prof, decompose(5, prof))
     sizes = sorted(r["size"] for r in rows)
     slopes = sorted(r["slope"] for r in rows)
-    ok &= _check(
-        lines,
+    yield (
         f"g=3 d=5: component sizes {sizes}, slopes {slopes}",
         sizes == [3, 10, 12, 15] and slopes == ["28/3", "28/3", "9", "9"],
     )
-    return ok
 
 
-def verify_origami(lines: list[str]) -> bool:
-    ok = True
-    e1 = origami.SquareTiledSurface(
-        v=parse_cycles("(1 5)", 5), h=parse_cycles("(1 2 3 4)", 5)
-    )
-    e2 = origami.SquareTiledSurface(
-        v=parse_cycles("(1 2 4 3 5)"), h=parse_cycles("(1 2 3 4 5)")
-    )
-    e3 = origami.SquareTiledSurface(
-        v=parse_cycles("(1 2 6 4 5 3 7)"), h=parse_cycles("(1 2 3 4 5 6 7)")
-    )
-    e4 = origami.SquareTiledSurface(
-        v=parse_cycles("(1 3 5 7 6 2 4)"), h=parse_cycles("(1 2)(3 4)(5 6 7)", 7)
-    )
-    e5 = origami.SquareTiledSurface(
-        v=parse_cycles("(1 6 8 10)(2 4 11 3 5 7 9)", 11),
-        h=parse_cycles("(1 2 3)(4 5 6)(7 8)(9 10)", 11),
-    )
-    from .perms import commutator, cycle_string
+def _surface(d: int, v: str, h: str) -> origami.SquareTiledSurface:
+    return origami.SquareTiledSurface(v=parse_cycles(v, d), h=parse_cycles(h, d))
 
-    ok &= _check(
-        lines,
+
+def verify_origami() -> Iterator[Check]:
+    e1 = _surface(5, "(1 5)", "(1 2 3 4)")
+    e2 = _surface(5, "(1 2 4 3 5)", "(1 2 3 4 5)")
+    e3 = _surface(7, "(1 2 6 4 5 3 7)", "(1 2 3 4 5 6 7)")
+    e4 = _surface(7, "(1 3 5 7 6 2 4)", "(1 2)(3 4)(5 6 7)")
+    e5 = _surface(11, "(1 6 8 10)(2 4 11 3 5 7 9)", "(1 2 3)(4 5 6)(7 8)(9 10)")
+    yield (
         "example surfaces 1-2: commutators (1 5 2), (1 3 4)",
         cycle_string(commutator(e1.v, e1.h)) == "(1 5 2)"
         and cycle_string(commutator(e2.v, e2.h)) == "(1 3 4)",
     )
-    ok &= _check(
-        lines,
+    yield (
         "example surfaces 3-4: commutator type (2,2,1,1,1)",
-        origami.singularities(e3) == [2, 2]
-        and origami.singularities(e4) == [2, 2],
+        origami.singularities(e3) == [2, 2] and origami.singularities(e4) == [2, 2],
     )
-    ok &= _check(
-        lines,
+    yield (
         "cylinder counts 1/2/3 for examples 3/4/5",
         len(origami.cylinders(e3)) == 1
         and origami.cylinders(e4) == [(2, 2), (3, 1)]
         and len(origami.cylinders(e5)) == 3,
     )
-    ok &= _check(
-        lines,
+    yield (
         "shear of example 1 gives v' = (1 2 3 4 5)",
         cycle_string(origami.act_U(e1).v) == "(1 2 3 4 5)",
     )
     for d in (5, 7):
-        prof = RamificationProfile.of(d, "3")
-        dec = decompose(d, prof)
-        const = all(
+        dec = decompose(d, RamificationProfile.of(d, "3"))
+        yield f"parity constant on components, d={d}", all(
             len({origami.weierstrass_parity(dec.classes[i]) for i in comp}) == 1
             for comp in dec.components
         )
-        ok &= _check(lines, f"parity constant on components, d={d}", const)
     w1 = CoverClass.from_pair(
         parse_cycles("(1 3 5 2 4 6 7)"), parse_cycles("(1 2)(3 4)", 7)
     )
@@ -629,51 +563,38 @@ def verify_origami(lines: list[str]) -> bool:
     dec = decompose(7, RamificationProfile.of(7, "2,2"))
     where = {dec.classes[i]: n for n, comp in enumerate(dec.components) for i in comp}
     in1, in2 = where.get(w1), where.get(w2)
-    ok &= _check(
-        lines,
+    yield (
         "the two witness pairs for sigma=(2,2,1^3), d=7 lie in distinct "
         f"components (groups {w1.group_kind}/{w2.group_kind})",
         in1 is not None and in2 is not None and in1 != in2,
     )
-    return ok
 
 
 def cmd_verify(args) -> int:
-    lines: list[str] = []
-    ok = True
-    ran = False
+    primes: list[int] = []
     if args.family:
-        primes = [int(x) for x in args.primes.split(",")] if args.primes else [5, 7]
+        given = (args.primes or "5,7").split(",")
+        primes = list(dict.fromkeys(int(x) for x in given))  # repeats run once
         check_capacity(max(primes), DEFAULT_MAX_DEGREE)
         bad = [p for p in primes if not formulas.is_prime(p)]
         if bad:
             return _fail(EXIT_INVALID, f"--primes must be prime, got {bad}")
-        ok &= verify_family(args.family, primes, lines)
-        ran = True
-    if args.appendix:
-        ok &= verify_appendix(lines)
-        ran = True
-    if args.dejonquieres:
-        ok &= verify_dejonquieres(lines)
-        ran = True
-    if args.slope10:
-        ok &= verify_slope10(lines)
-        ran = True
-    if args.components:
-        ok &= verify_components(lines)
-        ran = True
-    if args.origami:
-        ok &= verify_origami(lines)
-        ran = True
-    if not ran:
-        return _fail(
-            EXIT_INVALID,
-            "nothing to verify: pass --family/--appendix/--dejonquieres/"
-            "--slope10/--components/--origami",
-        )
-    for line in lines:
-        print(line)
-    return 0 if ok else EXIT_VERIFY
+    bundles = {
+        "family": lambda: verify_family(args.family, primes),
+        "appendix": verify_appendix,
+        "dejonquieres": verify_dejonquieres,
+        "slope10": verify_slope10,
+        "components": verify_components,
+        "origami": verify_origami,
+    }
+    chosen = [run for flag, run in bundles.items() if getattr(args, flag)]
+    if not chosen:
+        flags = "/".join(f"--{flag}" for flag in bundles)
+        return _fail(EXIT_INVALID, f"nothing to verify: pass {flags}")
+    checks = [check for run in chosen for check in run()]
+    for label, ok in checks:
+        print(f"{'PASS' if ok else 'FAIL'}  {label}")
+    return 0 if all(ok for _, ok in checks) else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
@@ -774,12 +695,7 @@ def cmd_origami_render(args) -> int:
         # two strings name at most as many squares as they have characters
         if args.d > max(1, len(args.alpha) + len(args.beta)):
             return _fail(EXIT_INVALID, "surface is not connected")
-        try:
-            v = parse_cycles(args.alpha, args.d)
-            h = parse_cycles(args.beta, args.d)
-        except ValueError as e:
-            return _fail(EXIT_INVALID, str(e))
-        surface = origami.SquareTiledSurface(v=v, h=h)
+        surface = _surface(args.d, args.alpha, args.beta)
     else:
         if not args.sigma:
             return _fail(
@@ -795,11 +711,8 @@ def cmd_origami_render(args) -> int:
         surface = origami.SquareTiledSurface.from_pair(classes[args.index])
     doc = origami.render(surface, format=args.format)
     if args.mark_weierstrass:
-        try:
-            parity = origami.weierstrass_parity(surface.to_pair())
-            note = f"integer Weierstrass points: {parity}"
-        except ValueError as e:
-            return _fail(EXIT_INVALID, str(e))
+        parity = origami.weierstrass_parity(surface.to_pair())
+        note = f"integer Weierstrass points: {parity}"
         if args.format == "svg":
             doc = doc.replace(
                 "</svg>", f"<!-- {note} -->\n</svg>"
@@ -822,18 +735,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, sigma=True):
-        sp.add_argument("--d", type=int, required=True, help="cover degree")
-        if sigma:
-            sp.add_argument(
-                "--sigma",
-                required=True,
-                help="branch class: nontrivial parts, e.g. '3' or '2,2' "
-                "(short form; 1s are implied)",
-            )
-        sp.add_argument("--format", choices=("json", "csv", "table"),
-                        default="table")
+    def output(sp, formats=("json", "csv", "table"), default="table"):
+        sp.add_argument("--format", choices=formats, default=default)
         sp.add_argument("--output", help="write to file instead of stdout")
+
+    def common(sp):
+        sp.add_argument("--d", type=int, required=True, help="cover degree")
+        sp.add_argument(
+            "--sigma",
+            required=True,
+            help="branch class: nontrivial parts, e.g. '3' or '2,2' "
+            "(short form; 1s are implied)",
+        )
+        output(sp)
         sp.add_argument(
             "--max-degree", type=int, default=9,
             help="enumeration safety bound (default 9)",
@@ -870,8 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("characters", help="character table of S_d")
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--format", choices=("json", "csv"), default="csv")
-    sp.add_argument("--output")
+    output(sp, ("json", "csv"), "csv")
     sp.set_defaults(func=cmd_characters)
 
     sp = sub.add_parser(
@@ -880,8 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d-max", type=int, default=6)
     sp.add_argument("--dump", action="store_true",
                     help="include all coefficients in the output")
-    sp.add_argument("--format", choices=("json", "table"), default="table")
-    sp.add_argument("--output")
+    output(sp, ("json", "table"))
     sp.set_defaults(func=cmd_genfun_check)
 
     sp = sub.add_parser("verify", help="dual-path verification bundles")
@@ -901,16 +813,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", required=True)
     sp.add_argument("--genus", action="store_true", help="include genus")
     sp.add_argument("--cache-dir")
-    sp.add_argument("--format", choices=("json", "csv", "table"),
-                    default="table")
-    sp.add_argument("--output")
+    output(sp)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("probe-g3", help="slope table for the g=3 family")
     sp.add_argument("--max-prime", type=int, default=199)
-    sp.add_argument("--format", choices=("json", "csv", "table"),
-                    default="table")
-    sp.add_argument("--output")
+    output(sp)
     sp.set_defaults(func=cmd_probe_g3)
 
     sp = sub.add_parser("origami", help="square-tiled surface tools")
@@ -922,9 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="class index in enumeration order")
     rp.add_argument("--alpha", help="explicit v permutation, cycle notation")
     rp.add_argument("--beta", help="explicit h permutation, cycle notation")
-    rp.add_argument("--format", choices=("ascii", "svg"), default="ascii")
+    output(rp, ("ascii", "svg"), "ascii")
     rp.add_argument("--mark-weierstrass", action="store_true")
-    rp.add_argument("--output")
     rp.set_defaults(func=cmd_origami_render)
 
     return p

@@ -35,8 +35,7 @@ from .perms import (
     centralizer_order,
     class_elements,
     classify_group,
-    conjugate,
-    conjugating_element,
+    cycle_layout,
     cycle_string,
     cycle_type,
     cycles,
@@ -196,13 +195,17 @@ def _min_over_elements(alpha: Perm, ctx: _TypeContext) -> Perm:
 
 def canonical_pair(alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
     """Canonical representative of the simultaneous-conjugation class of
-    (alpha, beta): beta becomes the fixed representative of its cycle
-    type, then alpha is minimized over the remaining freedom (the
-    centralizer of that representative), so any conjugator will do."""
-    ctx = _type_context(cycle_type(beta))
-    if beta != ctx.rep:
-        alpha = conjugate(conjugating_element(beta, ctx.rep), alpha)
-    return _min_over_elements(alpha, ctx), ctx.rep
+    (alpha, beta): the cycle layout of beta relabels it as the fixed
+    representative of its cycle type, then alpha is minimized over the
+    remaining freedom (the centralizer of that representative)."""
+    if len(alpha) != len(beta):
+        raise ValueError(f"degree mismatch: {len(alpha)} vs {len(beta)}")
+    parts, t = cycle_layout(beta)
+    laid = [0] * len(alpha)
+    for x, y in enumerate(alpha):
+        laid[t[x]] = t[y]
+    ctx = _type_context(parts)
+    return _min_over_elements(tuple(laid), ctx), ctx.rep
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +412,9 @@ def _classes_for_type(ctx: _TypeContext, gammas: Sequence[Perm]) -> list[CoverCl
         if gamma in seen_gamma:
             continue
         delta = tuple([gamma[x] for x in beta0])
-        if cycle_type(delta) != ctx.parts:
+        if cycle_type(delta) != ctx.parts:  # cheaper than a layout; most miss
             continue
-        a0 = conjugating_element(beta0, delta)
-        if a0 is None:  # same type; cannot happen
-            raise ConsistencyError("missing conjugator for matching types")
+        a0 = inverse(cycle_layout(delta)[1])
         # one pass over C(beta0) gives gamma's orbit and its stabilizer;
         # a stabilizer too large to keep is scanned out of C(beta0) again
         orbit: set[Perm] = set()
@@ -479,12 +480,6 @@ class CountsTable:
     @property
     def M(self) -> Fraction:
         return sum((type_weight(t) * n for t, n in self.by_type), Fraction(0))
-
-    def count(self, parts: Partition) -> int:
-        for t, n in self.by_type:
-            if t == parts:
-                return n
-        return 0
 
     def as_dict(self) -> dict:
         return {

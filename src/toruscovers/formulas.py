@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product
 from math import comb, factorial, gcd, prod
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .covers import RamificationProfile, check_capacity
 from .geometry import slope_from_counts
@@ -48,6 +48,12 @@ def family_sigma(family: str) -> str:
     if family not in _FAMILY_SIGMA:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     return _FAMILY_SIGMA[family]
+
+
+def family_of(profile: RamificationProfile) -> Optional[str]:
+    """The named family whose sigma is the profile's, or None."""
+    sigma = ",".join(map(str, profile.nontrivial_parts))
+    return next((f for f, s in _FAMILY_SIGMA.items() if s == sigma), None)
 
 
 def _check_family_degree(degree: int, family: str) -> None:
@@ -168,11 +174,6 @@ class QSeries:
     def q_derivative(self) -> "QSeries":
         """q d/dq: multiplies the n-th coefficient by n."""
         return QSeries([n * c for n, c in enumerate(self.coeffs)])
-
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: order + 1])
 
 
 def divisor_sigma(power: int, n: int) -> int:
@@ -594,10 +595,12 @@ def dejonquieres(genus: int, mu: Sequence[int]) -> int:
 def dejonquieres_positive(max_genus: int = 8) -> bool:
     """The positivity computation: every canonical divisor type with
     g - 1 parts has a strictly positive virtual count, g up to the
-    bound."""
+    bound.  Those types are the partitions of g - 1, each part raised
+    by 1 and padded with 1s to g - 1 parts."""
     for g in range(2, max_genus + 1):
-        for parts in partitions(2 * g - 2):
-            if len(parts) == g - 1 and dejonquieres(g, parts) < 1:
+        for lam in partitions(g - 1):
+            parts = tuple(p + 1 for p in lam) + (1,) * (g - 1 - len(lam))
+            if dejonquieres(g, parts) < 1:
                 return False
     return True
 

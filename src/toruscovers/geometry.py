@@ -44,10 +44,6 @@ class SlopeResult:
     lam: Fraction
     slope: Optional[Fraction]  # None when there are no covers
 
-    @property
-    def empty(self) -> bool:
-        return self.N == 0
-
     def as_dict(self) -> dict:
         return {
             "N": self.N,

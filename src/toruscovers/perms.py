@@ -307,7 +307,7 @@ def class_elements(parts: Partition, degree: Optional[int] = None) -> Iterator[P
 
 
 # ---------------------------------------------------------------------------
-# transitivity, conjugators, centralizers
+# transitivity, cycle layouts, centralizers
 
 
 def orbit_of(point: int, gens: Sequence[Perm]) -> list[int]:
@@ -350,20 +350,16 @@ def is_transitive(gens: Sequence[Perm], degree: int) -> bool:
     return len(orbit_of(0, gens)) == degree
 
 
-def conjugating_element(p: Perm, q: Perm) -> Optional[Perm]:
-    """A ``t`` with ``t p t^-1 == q``, or None when the degrees or cycle
-    types differ.  The cycles of each, longest first, are laid onto
-    consecutive points, and ``t`` sends each point of ``p`` to the point of
-    ``q`` laid in the same place."""
-    laid_p = sorted(cycles(p), key=len, reverse=True)
-    laid_q = sorted(cycles(q), key=len, reverse=True)
-    if list(map(len, laid_p)) != list(map(len, laid_q)):
-        return None
-    t = [0] * len(p)
-    for cp, cq in zip(laid_p, laid_q):
-        for x, y in zip(cp, cq):
-            t[x] = y
-    return tuple(t)
+def cycle_layout(p: Perm) -> tuple[Partition, Perm]:
+    """The cycle type of ``p`` and the labelling ``t`` that lays its
+    cycles onto consecutive points, longest first, so that
+    ``t p t^-1 == type_rep(cycle_type(p))``.
+
+    >>> cycle_layout(parse_cycles("(1 3)(2 4 5)", 5))
+    ((3, 2), (3, 0, 4, 1, 2))
+    """
+    laid = sorted(cycles(p), key=len, reverse=True)
+    return tuple(map(len, laid)), inverse([x for cyc in laid for x in cyc])
 
 
 def _length_blocks(parts: Partition) -> list[tuple[int, list[list[int]]]]:

@@ -153,14 +153,14 @@ def test_connected_coefficients_are_weighted_counts():
 def test_hand_checked_degree_two_coefficients():
     zhat, ztilde = build_generating_functions(2)
     # disconnected: beta = id, any alpha commutes -> 2 pairs / 2! = 1
-    assert zhat.coefficient([1, 1], 0) == 1
+    assert zhat.coeffs[(1, 1), 0] == 1
     # connected: only alpha = (1 2) makes the trivial-beta pair transitive
-    assert ztilde.coefficient([1, 1], 0) == Fraction(1, 2)
+    assert ztilde.coeffs[(1, 1), 0] == Fraction(1, 2)
     # single 2-cycle beta: both alphas work, transitive either way
-    assert zhat.coefficient([2], 0) == 1
-    assert ztilde.coefficient([2], 0) == 1
+    assert zhat.coeffs[(2,), 0] == 1
+    assert ztilde.coeffs[(2,), 0] == 1
     # exp identity by hand: 1 = 1/2 + (1/2) * 1^2 using the d=1 seed
-    assert ztilde.coefficient([1], 0) == 1
+    assert ztilde.coeffs[(1,), 0] == 1
 
 
 def test_log_inversion_returns_connected_series():

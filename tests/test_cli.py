@@ -186,6 +186,17 @@ def test_verify_composite_prime_within_the_bound_is_exit_2(capsys):
     assert "[8]" in err
 
 
+@pytest.mark.parametrize(
+    "primes,degrees", [("5,5", [5] * 3), ("7,5,7", [7] * 3 + [5] * 3)],
+    ids=["repeat", "first-occurrence-order"],
+)
+def test_verify_runs_each_prime_once(primes, degrees, capsys):
+    code, out, _ = run(["verify", "--family", "g2_31", "--primes", primes], capsys)
+    lines = out.splitlines()
+    assert code == 0 and all(line.startswith("PASS") for line in lines)
+    assert [int(line.split("d=")[1].split(":")[0]) for line in lines] == degrees
+
+
 def test_verify_needs_a_target(capsys):
     code, _, err = run(["verify"], capsys)
     assert code == 2

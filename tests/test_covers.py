@@ -29,7 +29,7 @@ from toruscovers.perms import (
     commutator,
     compose,
     conjugate,
-    conjugating_element,
+    cycle_layout,
     cycle_type,
     inverse,
     is_transitive,
@@ -100,11 +100,10 @@ def _coset_solutions(ctx, sigma, degree):
     beta0 = ctx.rep
     for gamma in class_elements(sigma, degree):
         delta = compose(gamma, beta0)
-        if cycle_type(delta) != ctx.parts:
+        parts, t = cycle_layout(delta)
+        if parts != ctx.parts:
             continue
-        a0 = conjugating_element(beta0, delta)
-        if a0 is None:  # same type; cannot happen
-            raise ConsistencyError("missing conjugator for matching types")
+        a0 = inverse(t)  # a0 beta0 a0^-1 == delta
         for z, _ in ctx.pairs():
             yield compose(a0, z)
 
@@ -344,7 +343,7 @@ def test_counts_table_totals():
     table = count_table(5, prof)
     assert table.N == 27
     assert table.M == Fraction(30)
-    assert table.count((5,)) == 10  # single beta cycle
+    assert dict(table.by_type)[(5,)] == 10  # single beta cycle
     prof22 = RamificationProfile.of(5, "2,2")
     t22 = count_table(5, prof22)
     assert (t22.N, t22.M) == (24, Fraction(30))

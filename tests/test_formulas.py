@@ -61,7 +61,6 @@ def test_qseries_arithmetic():
     assert (a - a) == QSeries([0, 0, 0])
     assert a.q_derivative()[2] == 6
     assert (a / 2)[2] == Fraction(3, 2)
-    assert a.truncate(2).order == 2
 
 
 def test_divisor_sigma_values():
@@ -344,6 +343,26 @@ def test_dejonquieres_matches_series_route():
                 assert dejonquieres(g, parts) == _series_dejonquieres(g, parts), parts
                 checked += 1
     assert checked == 96
+
+
+def test_dejonquieres_positive_reads_every_type_with_g_minus_1_parts(monkeypatch):
+    # the shifted partitions of g - 1 are exactly the filtered partitions
+    # of 2g - 2, each visited once
+    seen = []
+
+    def recording(genus, mu):
+        seen.append((genus, tuple(mu)))
+        return dejonquieres(genus, mu)
+
+    monkeypatch.setattr(formulas, "dejonquieres", recording)
+    assert dejonquieres_positive(12)
+    filtered = [
+        (g, parts)
+        for g in range(2, 13)
+        for parts in partitions(2 * g - 2)
+        if len(parts) == g - 1
+    ]
+    assert sorted(seen) == sorted(filtered) and len(seen) == 194
 
 
 def test_dejonquieres_rejects_malformed_input():

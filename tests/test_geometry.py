@@ -40,7 +40,7 @@ def test_slope_from_table_matches_direct():
 def test_empty_profile_gives_no_slope():
     prof = RamificationProfile.of(4, "4")  # odd parity, no covers
     res = slope(count_table(4, prof))
-    assert res.empty and res.slope is None
+    assert res.N == 0 and res.slope is None
 
 
 def test_slope_ten_for_small_genus_two_cases():

@@ -14,7 +14,7 @@ from toruscovers.perms import (
     commutator,
     compose,
     conjugate,
-    conjugating_element,
+    cycle_layout,
     cycle_string,
     cycle_type,
     cycles,
@@ -133,20 +133,26 @@ def test_multiplicities():
     assert multiplicities((3, 2, 2, 1)) == {3: 1, 2: 2, 1: 1}
 
 
-def test_conjugating_element_solves_and_rejects():
-    p = parse_cycles("(1 2 3)", 4)
-    q = parse_cycles("(2 3 4)", 4)
-    t = conjugating_element(p, q)
-    assert t is not None and conjugate(t, p) == q
-    assert conjugating_element(p, parse_cycles("(1 2)", 4)) is None
+def test_cycle_layout_lays_cycles_longest_first():
+    p = parse_cycles("(2 3 4)", 4)
+    assert cycle_layout(p) == ((3, 1), parse_cycles("(1 4 3 2)", 4))
+    p = parse_cycles("(1 6)(2 5 3)", 7)  # a 3-cycle, a 2-cycle, two fixed points
+    parts, t = cycle_layout(p)
+    assert parts == (3, 2, 1, 1) and conjugate(t, p) == type_rep(parts)
+    assert [t[x] for x in (1, 4, 2, 0, 5)] == [0, 1, 2, 3, 4]
+    assert cycle_layout(type_rep((3, 2, 1, 1))) == ((3, 2, 1, 1), identity(7))
 
 
 @settings(max_examples=30)
-@given(perms_of(5), perms_of(5))
-def test_conjugating_element_on_random_conjugates(p, t):
+@given(st.integers(1, 7).flatmap(lambda d: st.tuples(perms_of(d), perms_of(d))))
+def test_cycle_layout_on_random_conjugates(pt):
+    p, t = pt
     q = conjugate(t, p)
-    s = conjugating_element(p, q)
-    assert s is not None and conjugate(s, p) == q
+    parts, s = cycle_layout(q)
+    assert parts == cycle_type(p)
+    assert conjugate(s, q) == type_rep(parts)
+    # a layout of p composed with t^-1 solves the same equation for q
+    assert conjugate(compose(cycle_layout(p)[1], inverse(t)), q) == type_rep(parts)
 
 
 def test_centralizer_elements_enumeration():
