@@ -29,7 +29,13 @@ from .covers import (
     count_table,
     enumerate_classes,
 )
-from .geometry import component_rows, curve_invariants, slope, slope_from_counts
+from .geometry import (
+    component_rows,
+    component_slope,
+    curve_invariants,
+    slope,
+    slope_from_counts,
+)
 from .monodromy import decompose
 from .perms import commutator, cycle_string, parse_cycles
 
@@ -212,7 +218,7 @@ def _csv_text(payload) -> str:
 
 def _parse_d_list(args) -> list[int]:
     """The degrees of --d or --d-range.  The top one is held to the
-    enumeration bound that each row's count_table applies before the
+    enumeration bound that each row's enumeration applies before the
     list is built."""
     if getattr(args, "d_range", None):
         try:
@@ -572,6 +578,8 @@ def verify_origami() -> Iterator[Check]:
 
 def cmd_verify(args) -> int:
     primes: list[int] = []
+    if args.primes is not None and not args.family:
+        return _fail(EXIT_INVALID, "--primes needs --family")
     if args.family:
         given = (args.primes or "5,7").split(",")
         primes = list(dict.fromkeys(int(x) for x in given))  # repeats run once
@@ -608,8 +616,8 @@ def _sweep_row(d: int, sigma: str, with_genus: bool) -> dict:
         return {"d": d, "sigma": sigma, "N": 0, "note": "sigma does not fit"}
     if not prof.admits_covers:
         return {"d": d, "sigma": sigma, "N": 0, "note": "odd branching parity"}
-    table = count_table(d, prof)
-    s = slope(table)
+    classes = enumerate_classes(d, prof)
+    s = component_slope(prof, classes)
     row = {
         "d": d,
         "sigma": sigma,
@@ -618,7 +626,7 @@ def _sweep_row(d: int, sigma: str, with_genus: bool) -> dict:
         "slope": None if s.slope is None else str(s.slope),
     }
     if s.N and with_genus:
-        row["genus"] = curve_invariants(decompose(d, prof)).genus
+        row["genus"] = curve_invariants(decompose(d, prof, classes)).genus
     return row
 
 
@@ -807,8 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sweep", help="N/M/slope over a degree range")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--d-range", help="a..b inclusive")
+    degrees = sp.add_mutually_exclusive_group()
+    degrees.add_argument("--d", type=int)
+    degrees.add_argument("--d-range", help="a..b inclusive")
     sp.add_argument("--primes-only", action="store_true")
     sp.add_argument("--sigma", required=True)
     sp.add_argument("--genus", action="store_true", help="include genus")

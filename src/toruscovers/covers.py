@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .perms import (
     Partition,
@@ -38,8 +38,8 @@ from .perms import (
     cycle_layout,
     cycle_string,
     cycle_type,
-    cycles,
     inverse,
+    is_transitive,
     orbit_of,
     partition_sign,
     partitions,
@@ -336,32 +336,6 @@ def period_lattice_index(alpha: Perm, beta: Perm) -> int:
 # enumeration
 
 
-def _connectivity_test(beta0: Perm) -> Callable[[Perm], bool]:
-    """Return a test of whether ``<alpha, beta0>`` is transitive.  The
-    orbits of that group are unions of cycles of beta0 joined by alpha, so
-    the test walks cycles instead of points."""
-    blocks = cycles(beta0)
-    if len(blocks) == 1:
-        return lambda alpha: True
-    block_of = [0] * len(beta0)
-    for i, cyc in enumerate(blocks):
-        for x in cyc:
-            block_of[x] = i
-
-    def connected(alpha: Perm) -> bool:
-        reached = {0}
-        stack = [0]
-        while stack:
-            for x in blocks[stack.pop()]:
-                b = block_of[alpha[x]]
-                if b not in reached:
-                    reached.add(b)
-                    stack.append(b)
-        return len(reached) == len(blocks)
-
-    return connected
-
-
 @dataclass(frozen=True)
 class _StabilizerScan:
     """Every (s, s^-1) with s in Stab(gamma) of C(beta0), read afresh
@@ -382,17 +356,16 @@ def _coset_reps(
     ctx: _TypeContext,
     a0: Perm,
     stab: Iterable[tuple[Perm, Perm]],
-    connected: Callable[[Perm], bool],
 ) -> list[Perm]:
-    """Canonical alphas of the classes meeting the coset ``a0 C(beta0)``:
-    each class meets the coset in one orbit of ``stab`` (the (s, s^-1)
-    pairs of Stab(gamma)), so each is canonicalized once."""
+    """Canonical alphas of the transitive classes meeting the coset
+    ``a0 C(beta0)``: each class meets the coset in one orbit of ``stab``
+    (the (s, s^-1) pairs of Stab(gamma)), so each is canonicalized once."""
     points = range(len(a0))
     seen: set[Perm] = set()
     reps = []
     for z, _ in ctx.pairs():
         alpha = tuple([a0[x] for x in z])
-        if alpha in seen or not connected(alpha):
+        if alpha in seen or not is_transitive((alpha, ctx.rep), len(alpha)):
             continue
         reps.append(_min_over_elements(alpha, ctx))
         for s, sinv in stab:
@@ -405,7 +378,6 @@ def _classes_for_type(ctx: _TypeContext, gammas: Sequence[Perm]) -> list[CoverCl
     ``gammas`` (one whole conjugacy class), sorted by alpha."""
     beta0 = ctx.rep
     points = range(len(beta0))
-    connected = _connectivity_test(beta0)
     seen_gamma: set[Perm] = set()
     reps: list[Perm] = []
     for gamma in gammas:
@@ -433,7 +405,7 @@ def _classes_for_type(ctx: _TypeContext, gammas: Sequence[Perm]) -> list[CoverCl
             raise ConsistencyError("gamma orbit and stabilizer sizes do not match")
         seen_gamma |= orbit
         stab = kept if kept is not None else _StabilizerScan(ctx, gamma)
-        reps.extend(_coset_reps(ctx, a0, stab, connected))
+        reps.extend(_coset_reps(ctx, a0, stab))
     reps.sort()
     return [CoverClass(a, beta0) for a in reps]
 

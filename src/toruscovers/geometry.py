@@ -74,7 +74,7 @@ def slope(table: CountsTable) -> SlopeResult:
 def component_slope(
     profile: RamificationProfile, members: Sequence[CoverClass]
 ) -> SlopeResult:
-    """Slope of one component, from its own class count and weights."""
+    """Slope of a component, or any list of classes, from its count and weights."""
     N = len(members)
     M = sum((c.weight for c in members), Fraction(0))
     return slope_from_counts(profile, N, M)
@@ -175,6 +175,7 @@ def component_rows(
 ) -> list[dict]:
     """Size, slope, genus and primitivity of each component, sorted by
     size, then slope."""
+    primitive = set(decomposition.primitive_components())
     rows = []
     for comp in decomposition.components:
         members = [decomposition.classes[i] for i in comp]
@@ -183,7 +184,7 @@ def component_rows(
                 "size": len(comp),
                 "slope": str(component_slope(profile, members).slope),
                 "genus": curve_invariants(decomposition, comp).genus,
-                "primitive": all(c.is_primitive for c in members),
+                "primitive": comp in primitive,
             }
         )
     rows.sort(key=lambda r: (r["size"], r["slope"]))
@@ -208,15 +209,13 @@ def full_report(
             "note": "no covers",
         }
     dec = decompose(degree, profile, classes)
-    N = len(classes)
-    M = sum((c.weight for c in classes), Fraction(0))
-    s = slope_from_counts(profile, N, M)
+    s = component_slope(profile, classes)
     inv = curve_invariants(dec)
     return {
         "d": degree,
         "sigma": list(profile.parts),
-        "N": N,
-        "M": str(M),
+        "N": s.N,
+        "M": str(s.M),
         "slope": s.as_dict(),
         **inv.as_dict(),
         "components": component_rows(profile, dec),

@@ -11,13 +11,15 @@ through the two standard twists
 and the local monodromy around each of the 12 degenerate fibers acts by
 the same twist ``b``.  Orbits of <a, b> are the connected components of
 the total space; orbits of ``b`` alone are its points above one nodal
-fiber.  The elliptic involution acts by inv: (alpha, beta) ->
-(alpha^-1, beta^-1), and the quarter turn of the square-tiled view by
-R: (alpha, beta) -> (beta^-1, alpha).
+fiber.  The quarter turn of the square-tiled view,
+R: (alpha, beta) -> (beta^-1, alpha), is the word a b^-1 a up to
+conjugation by alpha^-1, and R^2 is the elliptic involution
+inv: (alpha, beta) -> (alpha^-1, beta^-1).
 
-All generators live in one table; ``action_images`` turns a generator
-into a tuple of class indices, and every orbit query reads those tuples.
-Each class object canonicalizes its image under a generator at most once.
+So a and b are the only generators ever canonicalized:
+``action_images`` turns each into a tuple of class indices, every other
+table is composed from those two, and every orbit query reads the
+tuples.  Each class object canonicalizes its a and b images at most once.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from typing import Optional, Sequence
 
 from .covers import (
     DEFAULT_MAX_DEGREE,
+    ConsistencyError,
     CoverClass,
     RamificationProfile,
     canonical_pair,
@@ -33,15 +36,9 @@ from .covers import (
 )
 from .perms import Perm, compose, cycles, inverse, orbits
 
-# each generator as a map of pairs; R is the quarter turn of the square
-# lattice (see origami), and R^2 is inv
 _IMAGES = {
     "a": lambda alpha, beta: (alpha, compose(alpha, beta)),
     "b": lambda alpha, beta: (compose(alpha, beta), beta),
-    "a_inv": lambda alpha, beta: (alpha, compose(inverse(alpha), beta)),
-    "b_inv": lambda alpha, beta: (compose(alpha, inverse(beta)), beta),
-    "inv": lambda alpha, beta: (inverse(alpha), inverse(beta)),
-    "R": lambda alpha, beta: (inverse(beta), alpha),
 }
 ACTION_NAMES = tuple(_IMAGES)
 
@@ -53,9 +50,9 @@ def _image_pair(name: str, alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
 
 
 def action_images(classes: Sequence[CoverClass], name: str) -> tuple[int, ...]:
-    """For each class, the index in ``classes`` of its image under one
-    generator.  Raises KeyError naming the class when the list is not
-    closed under the generator.  Each class memoizes its image as the
+    """For each class, the index in ``classes`` of its image under the
+    twist ``a`` or ``b``.  Raises KeyError naming the class when the list
+    is not closed under the twist.  Each class memoizes its image as the
     list's own (alpha, beta) tuple, so it holds no other class object."""
     keys = [(c.alpha, c.beta) for c in classes]
     index = {k: i for i, k in enumerate(keys)}
@@ -97,7 +94,9 @@ class OrbitDecomposition:
         for comp in self.components:
             flags = {self.classes[i].is_primitive for i in comp}
             if len(flags) != 1:
-                raise RuntimeError("component mixes primitive and pulled-back covers")
+                raise ConsistencyError(
+                    "component mixes primitive and pulled-back covers"
+                )
             if flags.pop():
                 out.append(comp)
         return tuple(out)
@@ -122,17 +121,28 @@ def decompose(
 
 
 # ---------------------------------------------------------------------------
-# elliptic involution
+# quarter turn and elliptic involution
+
+
+def quarter_turn_images(classes: Sequence[CoverClass]) -> tuple[int, ...]:
+    """Index table of the quarter turn R = a b^-1 a: that word sends
+    (alpha, beta) to (alpha beta^-1 alpha^-1, alpha), which alpha^-1
+    conjugates to (beta^-1, alpha).  ``classes`` must be closed under a
+    and b, as every :func:`enumerate_classes` list and every component is."""
+    a = action_images(classes, "a")
+    return compose(a, compose(inverse(action_images(classes, "b")), a))
 
 
 def involution_pairs(
     classes: Sequence[CoverClass],
 ) -> list[tuple[int, Optional[int]]]:
-    """Pairing of class indices under inv: (i, j) with i < j for swapped
-    pairs, (i, None) for fixed classes."""
+    """Pairing of class indices under inv = R^2: (i, j) with i < j for
+    swapped pairs, (i, None) for fixed classes.  ``classes`` must be
+    closed under a and b."""
+    r = quarter_turn_images(classes)
     return [
         (cyc[0], cyc[1] if len(cyc) > 1 else None)
-        for cyc in cycles(action_images(classes, "inv"))
+        for cyc in cycles(compose(r, r))
     ]
 
 

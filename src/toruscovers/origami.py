@@ -12,6 +12,7 @@ Two self-maps of the set of surfaces generate the relevant symmetry:
 U fixes h and composes v with it (the pair map (alpha, beta) ->
 (alpha beta, beta)), R quarter-turns the square lattice (the pair map
 (alpha, beta) -> (beta^-1, alpha)); R^2 inverts both permutations.
+On classes U is the twist b, and R is read off a and b (see monodromy).
 
 Convention note: h = beta, v = alpha is forced by the worked cylinder
 examples; with it, a one-cylinder surface is one whose beta is a single
@@ -23,13 +24,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .covers import CoverClass
-from .monodromy import _image_pair, action_images
+from .monodromy import _image_pair, action_images, quarter_turn_images
 from .perms import (
     Perm,
     cycle_string,
     cycle_type,
     cycles,
     commutator,
+    inverse,
     is_transitive,
     orbits,
     sign,
@@ -137,14 +139,16 @@ def act_U(s: SquareTiledSurface) -> SquareTiledSurface:
 def act_R(s: SquareTiledSurface) -> SquareTiledSurface:
     """Quarter turn: the pair (v, h) becomes (h^-1, v); applying it
     twice inverts both permutations."""
-    return SquareTiledSurface(*_image_pair("R", s.v, s.h))
+    return SquareTiledSurface(inverse(s.h), s.v)
 
 
 def ur_orbits(classes: Sequence[CoverClass]) -> list[tuple[int, ...]]:
     """Orbits of the <U, R> action on a list of cover classes, as sorted
-    index tuples (sorted by smallest member).  Raises KeyError naming a
-    class whose image is not in the list."""
-    return orbits([action_images(classes, name) for name in ("b", "R")], len(classes))
+    index tuples (sorted by smallest member).  U = b and R are read off
+    the a and b tables, so ``classes`` must be closed under a and b, as
+    every enumerated list and every component is."""
+    gens = [action_images(classes, "b"), quarter_turn_images(classes)]
+    return orbits(gens, len(classes))
 
 
 def weierstrass_parity(cover: CoverClass) -> int:

@@ -312,14 +312,18 @@ def class_elements(parts: Partition, degree: Optional[int] = None) -> Iterator[P
 
 def orbit_of(point: int, gens: Sequence[Perm]) -> list[int]:
     """Orbit of ``point`` in breadth-first order, taking the generators in
-    the given order at each point."""
-    seen = {point}
+    the given order at each point.  Reached points are marked in one flag
+    per point of the generators' degree."""
+    if not gens:
+        return [point]
+    seen = [False] * len(gens[0])
+    seen[point] = True
     out = [point]
     for x in out:
         for g in gens:
             y = g[x]
-            if y not in seen:
-                seen.add(y)
+            if not seen[y]:
+                seen[y] = True
                 out.append(y)
     return out
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from toruscovers import characters, cli, formulas
+from toruscovers import characters, cli, covers, formulas, monodromy
 from toruscovers.covers import ConsistencyError, RamificationProfile
 from toruscovers.cli import (
     CACHE_VERSION,
@@ -202,6 +202,19 @@ def test_verify_needs_a_target(capsys):
     assert code == 2
 
 
+def test_verify_primes_without_family_is_exit_2_before_any_check(
+    capsys, monkeypatch
+):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "verify_appendix", no_check)
+    for primes in ("5", ""):
+        code, out, err = run(["verify", "--primes", primes, "--appendix"], capsys)
+        assert code == 2 and out == ""
+        assert "--primes needs --family" in err
+
+
 def test_invalid_sigma_exit_code(capsys):
     code, _, err = run(["counts", "--d", "5", "--sigma", "x"], capsys)
     assert code == 2
@@ -312,6 +325,30 @@ def test_sweep_primes_only(capsys):
 def test_sweep_has_no_jobs_option(capsys):
     code, out, _ = run(["sweep", "--d", "3", "--sigma", "3", "--jobs", "2"], capsys)
     assert code == 2 and out == ""
+
+
+def test_sweep_takes_either_d_or_d_range(capsys):
+    code, out, err = run(
+        ["sweep", "--d", "3", "--d-range", "4..5", "--sigma", "3"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "not allowed with argument --d" in err
+
+
+def test_sweep_with_genus_enumerates_each_degree_once(capsys, monkeypatch):
+    enumerate_classes = covers.enumerate_classes
+    calls = []
+
+    def counting(degree, profile, max_degree=covers.DEFAULT_MAX_DEGREE):
+        calls.append(degree)
+        return enumerate_classes(degree, profile, max_degree)
+
+    for module in (covers, monodromy, cli):
+        monkeypatch.setattr(module, "enumerate_classes", counting)
+    code, out, _ = run(["sweep", "--d-range", "3..6", "--sigma", "3", "--genus"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "d=3  sigma=3  N=3  M=10/3  slope=10  genus=4"
+    assert calls == [3, 4, 5, 6]
 
 
 def test_cli_import_loads_no_process_pool():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from toruscovers.covers import ConsistencyError, RamificationProfile, count_table, enumerate_classes
 from toruscovers.geometry import (
     CurveInvariants,
+    component_rows,
     component_slope,
     curve_invariants,
     euler_orbifold,
@@ -135,6 +136,18 @@ def test_full_report_shape_and_values():
     assert len(rep["components"]) == 1
     comp = rep["components"][0]
     assert comp["size"] == 3 and comp["slope"] == "10" and comp["primitive"]
+
+
+def test_component_rows_reject_a_component_mixing_primitive_and_pulled_back_covers(
+    monkeypatch,
+):
+    prof = RamificationProfile.of(6, "3")
+    dec = decompose(6, prof)
+    assert [r["primitive"] for r in component_rows(prof, dec)] == [False, False, True]
+    (prim,) = dec.primitive_components()
+    monkeypatch.setitem(vars(dec.classes[prim[0]]), "is_primitive", False)
+    with pytest.raises(ConsistencyError, match="mixes primitive"):
+        component_rows(prof, dec)
 
 
 def test_invariants_as_dict_serializes_fractions_as_strings():

@@ -18,6 +18,7 @@ from toruscovers.monodromy import (
     action_images,
     decompose,
     involution_pairs,
+    quarter_turn_images,
 )
 from toruscovers.origami import ur_orbits
 from toruscovers.perms import (
@@ -25,10 +26,27 @@ from toruscovers.perms import (
     compose,
     conjugate,
     cycle_type,
+    cycles,
     inverse,
     parse_cycles,
     partitions,
 )
+
+# the pair maps of the generators that the package reads off the a and b
+# tables instead of canonicalizing; they are the oracle for those tables
+_ORACLE = {
+    "a_inv": lambda alpha, beta: (alpha, compose(inverse(alpha), beta)),
+    "b_inv": lambda alpha, beta: (compose(alpha, inverse(beta)), beta),
+    "inv": lambda alpha, beta: (inverse(alpha), inverse(beta)),
+    "R": lambda alpha, beta: (inverse(beta), alpha),
+}
+GENERATORS = ACTION_NAMES + tuple(_ORACLE)
+
+
+def _pair_image(name, alpha, beta):
+    if name in _ORACLE:
+        return _ORACLE[name](alpha, beta)
+    return _image_pair(name, alpha, beta)
 
 
 def _cls(alpha, beta, d):
@@ -37,7 +55,23 @@ def _cls(alpha, beta, d):
 
 def _image(name, c):
     """One generator image of a class, canonicalized afresh."""
-    return CoverClass.from_pair(*_image_pair(name, c.alpha, c.beta))
+    return CoverClass.from_pair(*_pair_image(name, c.alpha, c.beta))
+
+
+def _oracle_table(name, classes):
+    """Index table of one generator, every image canonicalized afresh."""
+    index = {(c.alpha, c.beta): i for i, c in enumerate(classes)}
+    return tuple(index[canonical_pair(*_pair_image(name, c.alpha, c.beta))]
+                 for c in classes)
+
+
+def _tables(classes):
+    """Every generator's index table, as the package derives it from the
+    a and b tables."""
+    a, b = action_images(classes, "a"), action_images(classes, "b")
+    r = quarter_turn_images(classes)
+    return {"a": a, "b": b, "a_inv": inverse(a), "b_inv": inverse(b),
+            "R": r, "inv": compose(r, r)}
 
 
 def test_actions_preserve_commutator_class_and_transitivity():
@@ -135,22 +169,22 @@ def test_queries_reject_a_list_not_closed_under_the_action(query):
     prof = RamificationProfile.of(5, "5")
     classes = enumerate_classes(5, prof)
     # drop one class of a swapped inv pair; its component has more than one
-    # class, so a, b and U = b, R also map some kept class onto it
+    # class, so a or b maps some kept class onto it.  Every query reads
+    # the a and b tables only, so each names a class whose a or b image
+    # was dropped
     i, j = next(p for p in involution_pairs(classes) if p[1] is not None)
     dropped, kept = classes[j], classes[:j] + classes[j + 1 :]
-    run, gens = {
-        "decompose": (lambda: decompose(5, prof, kept), ("a", "b")),
-        "involution_pairs": (lambda: involution_pairs(kept), ("inv",)),
-        "ur_orbits": (lambda: ur_orbits(kept), ("b", "R")),
+    run = {
+        "decompose": lambda: decompose(5, prof, kept),
+        "involution_pairs": lambda: involution_pairs(kept),
+        "ur_orbits": lambda: ur_orbits(kept),
     }[query]
     with pytest.raises(KeyError, match="is not in the list") as err:
         run()
     named = [c for c in kept if f"of class {c} " in str(err.value)]
     assert len(named) == 1
-    images = [_image(g, named[0]) for g in gens]
+    images = [_image(g, named[0]) for g in ACTION_NAMES]
     assert (dropped.alpha, dropped.beta) in {(c.alpha, c.beta) for c in images}
-    if query == "involution_pairs":
-        assert named[0] == classes[i]
 
 
 def test_action_graph_dot_mentions_every_class():
@@ -194,14 +228,14 @@ def test_each_class_canonicalizes_each_generator_image_once(monkeypatch):
         involution_pairs(classes),
     ]
     assert got == expected
-    # a and b (decompose, dot), R (ur_orbits, with b) and inv, once each
+    # a and b, once each; every other table is read off those two
     assert len(classes) == 88
-    assert len(calls) == 4 * len(classes)
+    assert len(calls) == 2 * len(classes)
     # the memo holds the list's own tuples, and action_images reads it
-    for g in ("a", "b", "R", "inv"):
+    for g in ("a", "b"):
         for c, j in zip(classes, action_images(classes, g)):
             assert c.images[g][0] is classes[j].alpha and c.images[g][1] is classes[j].beta
-    assert len(calls) == 4 * len(classes)
+    assert len(calls) == 2 * len(classes)
     with pytest.raises(ValueError, match="unknown action"):
         action_images(classes, "c")
 
@@ -220,24 +254,42 @@ def _filled_tables(d):
     # every generator table of the degree-d classes, read twice: the second
     # read comes from the memos the first one filled
     classes = _classes_of_degree(d)
-    first = {g: action_images(classes, g) for g in ACTION_NAMES}
-    second = {g: action_images(classes, g) for g in ACTION_NAMES}
+    first = _tables(classes)
+    second = _tables(classes)
     assert first == second
     return second
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_twist_closure_on_action_tables(d):
-    # for every sigma: a_inv after a, b_inv after b and inv twice are the
-    # identity, and R twice is inv, read off the index tables of the list
+    # for every sigma: the a and b tables are permutations of the list
+    # whose inverses are the a_inv and b_inv images, and R has order 4
     for sigma in partitions(d):
         classes = enumerate_classes(d, RamificationProfile.of(d, sigma))
-        t = {g: action_images(classes, g) for g in ACTION_NAMES}
+        t = _tables(classes)
+        assert t["a_inv"] == _oracle_table("a_inv", classes)
+        assert t["b_inv"] == _oracle_table("b_inv", classes)
         for i in range(len(classes)):
             assert t["a_inv"][t["a"][i]] == t["a"][t["a_inv"][i]] == i
             assert t["b_inv"][t["b"][i]] == t["b"][t["b_inv"][i]] == i
-            assert t["R"][t["R"][i]] == t["inv"][i]
             assert t["inv"][t["inv"][i]] == i
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_quarter_turn_and_involution_read_off_a_and_b(d):
+    # R = a b^-1 a and inv = R^2 on the index tables equal the images of
+    # (beta^-1, alpha) and (alpha^-1, beta^-1) canonicalized afresh, for
+    # every class of every sigma
+    checked = 0
+    for sigma in partitions(d):
+        classes = enumerate_classes(d, RamificationProfile.of(d, sigma))
+        assert quarter_turn_images(classes) == _oracle_table("R", classes)
+        inv = _oracle_table("inv", classes)
+        assert involution_pairs(classes) == [
+            (cyc[0], cyc[1] if len(cyc) > 1 else None) for cyc in cycles(inv)
+        ]
+        checked += len(classes)
+    assert checked == {1: 1, 2: 3, 3: 7, 4: 26, 5: 97, 6: 624, 7: 4163}[d]
 
 
 @settings(max_examples=80, deadline=None)
@@ -247,7 +299,7 @@ def test_relabelling_invariance_and_twist_closure(data):
     classes = _classes_of_degree(d)
     i = data.draw(st.integers(0, len(classes) - 1), label="class")
     t = tuple(data.draw(st.permutations(range(d)), label="relabelling"))
-    g = data.draw(st.sampled_from(ACTION_NAMES), label="generator")
+    g = data.draw(st.sampled_from(GENERATORS), label="generator")
     c = classes[i]
     relabelled = CoverClass(conjugate(t, c.alpha), conjugate(t, c.beta))
     fresh = CoverClass(c.alpha, c.beta)
@@ -259,7 +311,7 @@ def test_relabelling_invariance_and_twist_closure(data):
     tables = _filled_tables(d)
     img = {name: table[i] for name, table in tables.items()}
     assert set(c.images) == set(ACTION_NAMES)
-    image = CoverClass.from_pair(*_image_pair(g, relabelled.alpha, relabelled.beta))
+    image = CoverClass.from_pair(*_pair_image(g, relabelled.alpha, relabelled.beta))
     assert image == classes[img[g]]
     assert tables["a_inv"][img["a"]] == tables["a"][img["a_inv"]] == i
     assert tables["b_inv"][img["b"]] == tables["b"][img["b_inv"]] == i
