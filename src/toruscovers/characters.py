@@ -46,39 +46,32 @@ MAX_TABLE_DEGREE = 16
 
 
 # ---------------------------------------------------------------------------
-# Murnaghan-Nakayama recursion over border strips, in beta-number form
+# Murnaghan-Nakayama recursion over rim hooks, on a bead mask: a shape is
+# an int whose set bits are its beta-numbers on a fixed number of beads,
+# and removing a rim hook of length m moves one bead m places down
 
 
-def _beta_numbers(shape: Partition) -> tuple[int, ...]:
-    r = len(shape)
-    return tuple(shape[i] + r - 1 - i for i in range(r))
-
-
-def _shape_from_beta(beta: Sequence[int]) -> Partition:
-    r = len(beta)
-    parts = [beta[i] - (r - 1 - i) for i in range(r)]
-    return tuple(p for p in parts if p > 0)
+def _abacus(shape: Partition, beads: int) -> int:
+    """Bead mask of `shape` (at most `beads` rows): row i, padded with
+    zero rows, puts a bead at shape[i] + beads - 1 - i."""
+    padded = tuple(shape) + (0,) * (beads - len(shape))
+    return sum(1 << (part + beads - 1 - i) for i, part in enumerate(padded))
 
 
 @lru_cache(maxsize=None)
-def _mn(shape: Partition, mu: Partition) -> int:
+def _mn(mask: int, mu: Partition) -> int:
     if not mu:
         return 1
-    beta = _beta_numbers(shape)
-    bset = set(beta)
-    m = mu[0]
-    rest = mu[1:]
+    m, rest = mu[0], mu[1:]
     total = 0
-    for b in beta:
-        nb = b - m
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        new = sorted((x for x in beta if x != b), reverse=True)
-        new.append(nb)
-        new.sort(reverse=True)
-        value = _mn(_shape_from_beta(new), rest)
-        total += -value if height % 2 else value
+    movable = (mask >> m) & ~mask  # bit b: a bead at b + m, a gap at b
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        value = _mn(mask ^ (low << m) ^ low, rest)
+        # the hook's leg length is the number of beads it jumps over
+        between = (mask >> low.bit_length()) & ((1 << (m - 1)) - 1)
+        total += -value if between.bit_count() & 1 else value
     return total
 
 
@@ -99,7 +92,7 @@ def character_value(shape: Sequence[int], cls: Sequence[int]) -> int:
         raise ValueError(f"shape {shape} and class {cls} have different sizes")
     if any(p < 1 for p in s + c):
         raise ValueError("partition parts must be positive")
-    return _mn(s, c)
+    return _mn(_abacus(s, sum(s)), c)
 
 
 def character_degree(shape: Sequence[int]) -> int:
@@ -137,9 +130,8 @@ class CharacterTable:
     def build(cls, degree: int) -> "CharacterTable":
         check_capacity(degree, MAX_TABLE_DEGREE, "character-table")
         shapes = tuple(partitions(degree))
-        values = {
-            (s, c): character_value(s, c) for s in shapes for c in shapes
-        }
+        masks = {s: _abacus(s, degree) for s in shapes}
+        values = {(s, c): _mn(masks[s], c) for s in shapes for c in shapes}
         degrees = {s: character_degree(s) for s in shapes}
         return cls(degree, shapes, values, degrees)
 

@@ -581,8 +581,11 @@ def cmd_verify(args) -> int:
     if args.primes is not None and not args.family:
         return _fail(EXIT_INVALID, "--primes needs --family")
     if args.family:
-        given = (args.primes or "5,7").split(",")
-        primes = list(dict.fromkeys(int(x) for x in given))  # repeats run once
+        given = "5,7" if args.primes is None else args.primes
+        if not given.strip():
+            return _fail(EXIT_INVALID, "--primes names no prime")
+        # repeats run once
+        primes = list(dict.fromkeys(int(x) for x in given.split(",")))
         check_capacity(max(primes), DEFAULT_MAX_DEGREE)
         bad = [p for p in primes if not formulas.is_prime(p)]
         if bad:
@@ -638,31 +641,41 @@ def _sweep_row_ok(row, with_genus: bool) -> bool:
     return "note" in row or _holds(row, ("M", "slope", *genus))
 
 
-def _sweep_key(d: int, args) -> dict:
+def _sweep_key(d: int, sigma: str, with_genus: bool) -> dict:
     return {
         "d": d,
-        "sigma": args.sigma,
-        "kind": "sweep" + ("+genus" if args.genus else ""),
+        "sigma": sigma,
+        "kind": "sweep" + ("+genus" if with_genus else ""),
         "version": CACHE_VERSION,
     }
 
 
+def _short_sigma(text: str) -> str:
+    """The one spelling of a sigma text that sweep prints and caches
+    under: its nontrivial parts, descending, joined by commas ("1" when
+    there are none).  Raises ValueError on text that names no profile;
+    whether it fits a degree is checked per row."""
+    tokens = text.replace(",", " ").split()
+    # one fixed point more than the parts need, so "" and "1" fit too
+    prof = RamificationProfile.of(sum(map(int, tokens)) + 1, tokens)
+    return ",".join(map(str, prof.nontrivial_parts)) or "1"
+
+
 def cmd_sweep(args) -> int:
     ds = _parse_d_list(args)
-    try:  # validate the sigma text itself; per-degree fit is checked per row
-        RamificationProfile.of(max(ds), args.sigma)
+    try:
+        sigma = _short_sigma(args.sigma)
     except ValueError as e:
-        if "exceeds degree" not in str(e):
-            return _fail(EXIT_INVALID, f"invalid sigma: {e}")
+        return _fail(EXIT_INVALID, f"invalid sigma: {e}")
     cache = _cache_from_args(args)
     rows, cached = [], 0
     for d in ds:
-        key = _sweep_key(d, args)
+        key = _sweep_key(d, sigma, args.genus)
         row = cache.get(key) if cache else None
         if _sweep_row_ok(row, args.genus):
             cached += 1
         else:
-            row = _sweep_row(d, args.sigma, args.genus)
+            row = _sweep_row(d, sigma, args.genus)
             if cache:
                 cache.put(key, row)
         rows.append(row)

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -23,6 +24,56 @@ from toruscovers.perms import (
     partition_sign,
     partitions,
 )
+
+
+# The oracle: Murnaghan-Nakayama on sorted tuples of beta-numbers, removing
+# one border strip of length mu[0] at a time
+
+
+def _beta_numbers(shape):
+    r = len(shape)
+    return tuple(shape[i] + r - 1 - i for i in range(r))
+
+
+def _shape_from_beta(beta):
+    r = len(beta)
+    parts = [beta[i] - (r - 1 - i) for i in range(r)]
+    return tuple(p for p in parts if p > 0)
+
+
+@lru_cache(maxsize=None)
+def _oracle_mn(shape, mu):
+    if not mu:
+        return 1
+    beta = _beta_numbers(shape)
+    bset = set(beta)
+    m = mu[0]
+    total = 0
+    for b in beta:
+        nb = b - m
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        new = sorted([x for x in beta if x != b] + [nb], reverse=True)
+        value = _oracle_mn(_shape_from_beta(new), mu[1:])
+        total += -value if height % 2 else value
+    return total
+
+
+def test_character_table_matches_tuple_recursion():
+    for d in range(1, 13):
+        table = CharacterTable.build(d)
+        assert len(table.values) == len(table.shapes) ** 2
+        for (shape, cls), value in table.values.items():
+            assert value == _oracle_mn(shape, cls), (shape, cls)
+
+
+def test_character_value_matches_tuple_recursion_in_any_part_order():
+    for shape in partitions(8):
+        for cls in partitions(8):
+            want = _oracle_mn(shape, cls)
+            assert character_value(shape[::-1], cls[::-1]) == want
+            assert character_value(list(shape), cls) == want
 
 
 def test_character_values_hand_checked():
@@ -78,7 +129,7 @@ def test_character_table_past_its_bound_raises_capacity_error():
 
 
 def test_character_table_orthogonality():
-    for d in (3, 4, 5, 6):
+    for d in range(1, 11):
         table = CharacterTable.build(d)
         assert table.row_orthogonal()
         assert table.column_orthogonal()

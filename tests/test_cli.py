@@ -215,6 +215,18 @@ def test_verify_primes_without_family_is_exit_2_before_any_check(
         assert "--primes needs --family" in err
 
 
+@pytest.mark.parametrize("primes", ["", " ", "5,,7"])
+def test_verify_family_with_an_empty_prime_list_is_exit_2_before_any_check(
+    primes, capsys, monkeypatch
+):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "verify_family", no_check)
+    code, out, _ = run(["verify", "--family", "g2_31", "--primes", primes], capsys)
+    assert code == 2 and out == ""
+
+
 def test_invalid_sigma_exit_code(capsys):
     code, _, err = run(["counts", "--d", "5", "--sigma", "x"], capsys)
     assert code == 2
@@ -490,6 +502,22 @@ def test_cache_hit_output_byte_identical(tmp_path, capsys):
         code, warm, _ = run(argv, capsys)
         assert code == 0
         assert cold == warm
+
+
+def test_sweep_prints_and_caches_one_spelling_of_sigma(tmp_path, capsys):
+    cache = ["--cache-dir", str(tmp_path)]
+    code, want, err = run(["sweep", "--d-range", "3..4", "--sigma", "3", *cache], capsys)
+    assert code == 0 and "(0 cache hits)" in err
+    assert want.splitlines()[0] == "d=3  sigma=3  N=3  M=10/3  slope=10"
+    for spelling in ("3,", "1,3", " 3 , 1 "):
+        argv = ["sweep", "--d-range", "3..4", "--sigma", spelling]
+        code, out, err = run(argv + cache, capsys)
+        assert code == 0 and out == want and "(2 cache hits)" in err
+    code, out, _ = run(["sweep", "--d", "5", "--sigma", "1,2,3", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)[0]["sigma"] == "3,2"
+    keys = [json.loads(line)["key"]["sigma"]
+            for line in (tmp_path / "results.jsonl").read_text().splitlines()]
+    assert keys == ["3", "3"]
 
 
 def test_partly_cached_sweep_computes_and_stores_only_the_misses(tmp_path, capsys):

@@ -2,11 +2,13 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruscovers import formulas
 from toruscovers.covers import CapacityError, RamificationProfile, enumerate_classes
 from toruscovers.formulas import (
     MAX_CLOSED_FORM_DEGREE,
+    MAX_DEJONQUIERES_GENUS,
     QSeries,
     UnclassifiedTypeError,
     admissible_types,
@@ -63,9 +65,34 @@ def test_qseries_arithmetic():
     assert (a / 2)[2] == Fraction(3, 2)
 
 
+_RATIONALS = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_RATIONALS, min_size=1, max_size=12),
+       st.lists(_RATIONALS, min_size=1, max_size=12))
+def test_qseries_product_is_the_schoolbook_convolution(a, b):
+    n = min(len(a), len(b))
+    want = [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(n)]
+    got = QSeries(a) * QSeries(b)
+    assert got.coeffs == tuple(want)
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
 def test_divisor_sigma_values():
     assert [divisor_sigma(1, n) for n in range(1, 7)] == [1, 3, 4, 7, 6, 12]
     assert divisor_sigma(3, 4) == 1 + 8 + 64
+
+
+def test_divisor_sigma_matches_a_divisor_sieve():
+    top = 1000
+    for power in (1, 3, 5):
+        sieve = [0] * (top + 1)
+        for f in range(1, top + 1):
+            for m in range(f, top + 1, f):
+                sieve[m] += f**power
+        assert [divisor_sigma(power, n) for n in range(1, top + 1)] == sieve[1:]
 
 
 def test_eisenstein_expansions():
@@ -363,6 +390,16 @@ def test_dejonquieres_positive_reads_every_type_with_g_minus_1_parts(monkeypatch
         if len(parts) == g - 1
     ]
     assert sorted(seen) == sorted(filtered) and len(seen) == 194
+
+
+def test_dejonquieres_positive_checks_its_bound_before_any_work(monkeypatch):
+    assert MAX_DEJONQUIERES_GENUS == 16
+    calls = []
+    monkeypatch.setattr(formulas, "dejonquieres", lambda *a: calls.append(a) or 1)
+    with pytest.raises(CapacityError, match="de Jonquieres genus bound 16"):
+        dejonquieres_positive(MAX_DEJONQUIERES_GENUS + 1)
+    assert calls == []
+    assert dejonquieres_positive(MAX_DEJONQUIERES_GENUS) and calls
 
 
 def test_dejonquieres_rejects_malformed_input():

@@ -68,6 +68,7 @@ _SINGLE = [
      "--beta", "(1 2 3 4 5)", "--mark-weierstrass"],
     ["characters", "--d", "7"],
     ["characters", "--d", "7", "--format", "json"],
+    ["characters", "--d", "16", "--format", "csv"],  # the largest table
     ["genfun-check", "--d-max", "6"],
     ["genfun-check", "--d-max", "6", "--dump", "--format", "json"],
     ["probe-g3", "--max-prime", "61"],
