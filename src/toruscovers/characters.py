@@ -128,7 +128,7 @@ class CharacterTable:
 
     @classmethod
     def build(cls, degree: int) -> "CharacterTable":
-        check_capacity(degree, MAX_TABLE_DEGREE, "character-table")
+        check_capacity(degree, MAX_TABLE_DEGREE, "character-table degree")
         shapes = tuple(partitions(degree))
         masks = {s: _abacus(s, degree) for s in shapes}
         values = {(s, c): _mn(masks[s], c) for s in shapes for c in shapes}

@@ -46,7 +46,6 @@ EXIT_CACHE = 4
 EXIT_INTERNAL = 5
 
 CACHE_VERSION = 2
-CACHE_DIR_ENV = "TORUSCOVERS_CACHE_DIR"
 
 
 class CacheError(RuntimeError):
@@ -119,10 +118,8 @@ class ResultCache:
 
 
 def _cache_from_args(args) -> Optional[ResultCache]:
-    directory = getattr(args, "cache_dir", None) or os.environ.get(CACHE_DIR_ENV)
-    if not directory:
-        return None
-    return ResultCache.at(directory)
+    directory = getattr(args, "cache_dir", None)
+    return ResultCache.at(directory) if directory else None
 
 
 def _holds(value, fields) -> bool:
@@ -147,7 +144,7 @@ def _counts_ok(value) -> bool:
 
 
 def _profile(
-    args, max_degree: Optional[int] = None, kind: str = "enumeration"
+    args, max_degree: Optional[int] = None, kind: str = "enumeration degree"
 ) -> RamificationProfile:
     """The profile of --d and --sigma.  --d is held to the command's
     degree bound first (``--max-degree`` unless another is given), so an
@@ -258,7 +255,7 @@ def cmd_enumerate(args) -> int:
 def cmd_counts(args) -> int:
     formula = args.method == "formula"
     if formula:
-        prof = _profile(args, formulas.MAX_CLOSED_FORM_DEGREE, "closed-form")
+        prof = _profile(args, formulas.MAX_CLOSED_FORM_DEGREE, "closed-form degree")
     else:
         prof = _profile(args)
     cache = _cache_from_args(args)
@@ -584,8 +581,12 @@ def cmd_verify(args) -> int:
         given = "5,7" if args.primes is None else args.primes
         if not given.strip():
             return _fail(EXIT_INVALID, "--primes names no prime")
-        # repeats run once
-        primes = list(dict.fromkeys(int(x) for x in given.split(",")))
+        for entry in given.split(","):
+            try:
+                primes.append(int(entry))
+            except ValueError:
+                return _fail(EXIT_INVALID, f"bad --primes entry {entry!r}")
+        primes = list(dict.fromkeys(primes))  # repeats run once
         check_capacity(max(primes), DEFAULT_MAX_DEGREE)
         bad = [p for p in primes if not formulas.is_prime(p)]
         if bad:
@@ -692,7 +693,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_probe_g3(args) -> int:
     _at_least("--max-prime", args.max_prime, 5)
-    check_capacity(args.max_prime, formulas.MAX_CLOSED_FORM_DEGREE, "closed-form")
+    check_capacity(
+        args.max_prime, formulas.MAX_CLOSED_FORM_DEGREE, "closed-form degree"
+    )
     primes = [p for p in formulas.primes_up_to(args.max_prime) if p >= 5]
     rows = formulas.g3_slope_probe(primes)
     for row in rows:
@@ -770,8 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         output(sp)
         sp.add_argument(
-            "--max-degree", type=int, default=9,
-            help="enumeration safety bound (default 9)",
+            "--max-degree", type=int, default=DEFAULT_MAX_DEGREE,
+            help="enumeration safety bound (default %(default)s)",
         )
 
     sp = sub.add_parser("enumerate", help="list all cover classes")
@@ -839,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("probe-g3", help="slope table for the g=3 family")
-    sp.add_argument("--max-prime", type=int, default=199)
+    sp.add_argument("--max-prime", type=int, default=formulas.MAX_CLOSED_FORM_DEGREE)
     output(sp)
     sp.set_defaults(func=cmd_probe_g3)
 

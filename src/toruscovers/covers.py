@@ -35,6 +35,7 @@ from .perms import (
     centralizer_order,
     class_elements,
     classify_group,
+    compose,
     cycle_layout,
     cycle_string,
     cycle_type,
@@ -63,14 +64,13 @@ class ConsistencyError(RuntimeError):
 
 
 def check_capacity(
-    degree: int, max_degree: int = DEFAULT_MAX_DEGREE, kind: str = "enumeration"
+    value: int, bound: int = DEFAULT_MAX_DEGREE, kind: str = "enumeration degree"
 ) -> None:
-    """Raise CapacityError when ``degree`` exceeds the bound for one kind
-    of work (by default brute-force enumeration)."""
-    if degree > max_degree:
-        raise CapacityError(
-            f"degree {degree} exceeds the {kind} bound {max_degree}"
-        )
+    """Raise CapacityError when ``value`` exceeds ``bound``; ``kind`` names
+    the bounded quantity (by default the degree of brute-force
+    enumeration)."""
+    if value > bound:
+        raise CapacityError(f"{kind} {value} exceeds its bound {bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +240,11 @@ class CoverClass:
         return cycle_type(commutator(self.alpha, self.beta))
 
     @cached_property
-    def images(self) -> dict[str, tuple[Perm, Perm]]:
-        """Canonical pair of the image under each twist generator applied
-        so far, filled by :mod:`monodromy` on first use."""
-        return {}
+    def twists(self) -> tuple[tuple[Perm, Perm], tuple[Perm, Perm]]:
+        """Canonical pairs of the images under the twists a and b:
+        (alpha, alpha beta) and (alpha beta, beta), in that order."""
+        ab = compose(self.alpha, self.beta)
+        return canonical_pair(self.alpha, ab), canonical_pair(ab, self.beta)
 
     @cached_property
     def weight(self) -> Fraction:

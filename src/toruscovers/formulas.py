@@ -9,8 +9,8 @@ cover genus and branching:
     g3_5:  g = 3, sigma = (5, 1^{d-5})
 
 All per-type formulas assume d prime; the enumeration modules provide
-the brute-force cross-check at small d.  Everything is exact rational
-arithmetic (Fraction), including the Eisenstein q-series.
+the brute-force cross-check at small d.  Everything is exact: rational
+arithmetic (Fraction), and integers for the Eisenstein q-series.
 
 A note on the genus formulas: the two printed closed forms do not agree
 with the orbit-based genus (which is the ground truth here, verified by
@@ -24,15 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
-from math import comb, factorial, gcd, isqrt, lcm, prod
+from math import comb, factorial, gcd, isqrt, prod
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .covers import RamificationProfile, check_capacity
 from .geometry import slope_from_counts
 from .perms import Partition, partitions
 
-Scalar = Union[int, Fraction]
 Sizes = Sequence[tuple[int, int]]  # (size, multiplicity) pairs, sizes descending
 
 FAMILIES = ("g2_31", "g2_22", "g3_5")
@@ -65,7 +64,7 @@ def _check_family_degree(degree: int, family: str) -> None:
     family_sigma(family)
     if degree < _FAMILY_MIN_D[family]:
         raise ValueError(f"family {family} needs d >= {_FAMILY_MIN_D[family]}")
-    check_capacity(degree, MAX_CLOSED_FORM_DEGREE, "closed-form")
+    check_capacity(degree, MAX_CLOSED_FORM_DEGREE, "closed-form degree")
     if not is_prime(degree):
         raise ValueError(f"closed formulas need prime d, got {degree}")
 
@@ -91,85 +90,18 @@ def primes_up_to(bound: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# truncated q-series with exact coefficients
+# truncated q-series with integer coefficients
 
 
-class QSeries:
-    """Formal power series in q, truncated: coefficients c_0..c_order,
-    all exact rationals.  Arithmetic truncates to the shorter operand.
+def series_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two truncated q-series, each given
+    by its coefficients c_0..c_order, to the shorter order.
 
-    >>> a = QSeries([1, 2, 3])
-    >>> b = QSeries([1, -1, 0])
-    >>> (a * b).coeffs
-    (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))
+    >>> series_product([1, 2, 3], [1, -1, 0])
+    [1, 1, 1]
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar]):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("series needs at least the constant term")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        tail = ", ..." if len(self.coeffs) > 6 else ""
-        return f"QSeries([{head}{tail}]; order {self.order})"
-
-    def _common(self, other: "QSeries") -> int:
-        return min(self.order, other.order)
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        n = self._common(other)
-        return QSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
-        )
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        n = self._common(other)
-        return QSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]
-        )
-
-    def __mul__(self, other: Union["QSeries", Scalar]) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return QSeries([c * other for c in self.coeffs])
-        n = self._common(other)
-        (a, da), (b, db) = (_cleared(s.coeffs[: n + 1]) for s in (self, other))
-        return QSeries(
-            Fraction(sum(map(mul, a[: k + 1], b[k::-1])), da * db)
-            for k in range(n + 1)
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: Scalar) -> "QSeries":
-        return QSeries([c / Fraction(scalar) for c in self.coeffs])
-
-    def q_derivative(self) -> "QSeries":
-        """q d/dq: multiplies the n-th coefficient by n."""
-        return QSeries([n * c for n, c in enumerate(self.coeffs)])
-
-
-def _cleared(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over one common denominator."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    n = min(len(a), len(b))
+    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -198,29 +130,35 @@ def divisor_sigma(power: int, n: int) -> int:
 _EISENSTEIN = {"P": (1, -24), "Q": (3, 240), "R": (5, -504)}
 
 
-def eisenstein(name: str, order: int) -> QSeries:
-    """The classical weight-2/4/6 series P, Q, R:
+def eisenstein(name: str, order: int) -> tuple[int, ...]:
+    """Coefficients c_0..c_order of the classical weight-2/4/6 series
     P = 1 - 24 sum sigma_1(n) q^n, Q = 1 + 240 sum sigma_3(n) q^n,
-    R = 1 - 504 sum sigma_5(n) q^n."""
+    R = 1 - 504 sum sigma_5(n) q^n.
+
+    >>> eisenstein("P", 3)
+    (1, -24, -72, -96)
+    """
     if name not in _EISENSTEIN:
         raise ValueError(f"unknown series {name!r}; expected P, Q or R")
     power, factor = _EISENSTEIN[name]
-    coeffs: list[Scalar] = [1]
-    coeffs.extend(factor * divisor_sigma(power, n) for n in range(1, order + 1))
-    return QSeries(coeffs)
+    return (1, *(factor * divisor_sigma(power, n) for n in range(1, order + 1)))
 
 
 def ramanujan_check(order: int) -> bool:
-    """The three differential equations tying P, Q, R together:
-    qP' = (P^2 - Q)/12, qQ' = (PQ - R)/3, qR' = (PR - Q^2)/2,
-    checked coefficientwise to the given order."""
-    P = eisenstein("P", order)
-    Q = eisenstein("Q", order)
-    R = eisenstein("R", order)
-    return (
-        P.q_derivative() == (P * P - Q) / 12
-        and Q.q_derivative() == (P * Q - R) / 3
-        and R.q_derivative() == (P * R - Q * Q) / 2
+    """The three differential equations tying P, Q, R together,
+    12 qP' = P^2 - Q, 3 qQ' = PQ - R and 2 qR' = PR - Q^2, checked
+    coefficientwise in integers to the given order."""
+    P, Q, R = (eisenstein(name, order) for name in "PQR")
+    # (factor, f, g, h): factor * q f' = g - h, q d/dq multiplying c_n by n
+    sides = (
+        (12, P, series_product(P, P), Q),
+        (3, Q, series_product(P, Q), R),
+        (2, R, series_product(P, R), series_product(Q, Q)),
+    )
+    return all(
+        factor * n * c == x - y
+        for factor, f, g, h in sides
+        for n, (c, x, y) in enumerate(zip(f, g, h))
     )
 
 
@@ -614,7 +552,7 @@ def g3_slope_probe(primes: Iterable[int]) -> list[dict]:
     closed-form bound before any row is computed."""
     primes = [d for d in primes if d >= 5]
     if primes:
-        check_capacity(max(primes), MAX_CLOSED_FORM_DEGREE, "closed-form")
+        check_capacity(max(primes), MAX_CLOSED_FORM_DEGREE, "closed-form degree")
     rows = []
     for d in primes:
         N, M = closed_N_M(d, "g3_5")

@@ -16,10 +16,11 @@ R: (alpha, beta) -> (beta^-1, alpha), is the word a b^-1 a up to
 conjugation by alpha^-1, and R^2 is the elliptic involution
 inv: (alpha, beta) -> (alpha^-1, beta^-1).
 
-So a and b are the only generators ever canonicalized:
-``action_images`` turns each into a tuple of class indices, every other
-table is composed from those two, and every orbit query reads the
-tuples.  Each class object canonicalizes its a and b images at most once.
+So a and b are the only generators ever canonicalized: each class holds
+the canonical pairs of its a and b images (``CoverClass.twists``),
+``twist_tables`` turns them into two tuples of class indices in one pass,
+every other table is composed from those two, and every orbit query
+reads the tuples.
 """
 from __future__ import annotations
 
@@ -31,42 +32,33 @@ from .covers import (
     ConsistencyError,
     CoverClass,
     RamificationProfile,
-    canonical_pair,
     enumerate_classes,
 )
-from .perms import Perm, compose, cycles, inverse, orbits
-
-_IMAGES = {
-    "a": lambda alpha, beta: (alpha, compose(alpha, beta)),
-    "b": lambda alpha, beta: (compose(alpha, beta), beta),
-}
-ACTION_NAMES = tuple(_IMAGES)
+from .perms import compose, cycles, inverse, orbits
 
 
-def _image_pair(name: str, alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
-    if name not in _IMAGES:
-        raise ValueError(f"unknown action {name!r}; expected one of {ACTION_NAMES}")
-    return _IMAGES[name](alpha, beta)
-
-
-def action_images(classes: Sequence[CoverClass], name: str) -> tuple[int, ...]:
-    """For each class, the index in ``classes`` of its image under the
-    twist ``a`` or ``b``.  Raises KeyError naming the class when the list
-    is not closed under the twist.  Each class memoizes its image as the
-    list's own (alpha, beta) tuple, so it holds no other class object."""
-    keys = [(c.alpha, c.beta) for c in classes]
-    index = {k: i for i, k in enumerate(keys)}
-    out = []
+def twist_tables(
+    classes: Sequence[CoverClass],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Index tables (a, b) of the two twists: for each class, the index in
+    ``classes`` of its image.  Raises KeyError naming the class when the
+    list is not closed under a twist."""
+    index = {(c.alpha, c.beta): i for i, c in enumerate(classes)}
+    tables: tuple[list[int], list[int]] = ([], [])
     for c in classes:
-        pair = c.images.get(name)
-        if pair is None:
-            pair = canonical_pair(*_image_pair(name, c.alpha, c.beta))
-        j = index.get(pair)
-        if j is None:
-            raise KeyError(f"the {name} image of class {c} is not in the list")
-        c.images[name] = keys[j]
-        out.append(j)
-    return tuple(out)
+        for name, pair, table in zip("ab", c.twists, tables):
+            j = index.get(pair)
+            if j is None:
+                raise KeyError(f"the {name} image of class {c} is not in the list")
+            table.append(j)
+    return tuple(tables[0]), tuple(tables[1])
+
+
+def quarter_turn(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Index table of the quarter turn R = a b^-1 a from the a and b tables:
+    that word sends (alpha, beta) to (alpha beta^-1 alpha^-1, alpha), which
+    alpha^-1 conjugates to (beta^-1, alpha)."""
+    return compose(a, compose(inverse(b), a))
 
 
 @dataclass(frozen=True)
@@ -113,8 +105,7 @@ def decompose(
     if classes is None:
         classes = enumerate_classes(degree, profile, max_degree=max_degree)
     classes = tuple(classes)
-    a = action_images(classes, "a")
-    b = action_images(classes, "b")
+    a, b = twist_tables(classes)
     return OrbitDecomposition(
         classes, tuple(orbits([a, b], len(classes))), tuple(cycles(b))
     )
@@ -124,22 +115,14 @@ def decompose(
 # quarter turn and elliptic involution
 
 
-def quarter_turn_images(classes: Sequence[CoverClass]) -> tuple[int, ...]:
-    """Index table of the quarter turn R = a b^-1 a: that word sends
-    (alpha, beta) to (alpha beta^-1 alpha^-1, alpha), which alpha^-1
-    conjugates to (beta^-1, alpha).  ``classes`` must be closed under a
-    and b, as every :func:`enumerate_classes` list and every component is."""
-    a = action_images(classes, "a")
-    return compose(a, compose(inverse(action_images(classes, "b")), a))
-
-
 def involution_pairs(
     classes: Sequence[CoverClass],
 ) -> list[tuple[int, Optional[int]]]:
     """Pairing of class indices under inv = R^2: (i, j) with i < j for
     swapped pairs, (i, None) for fixed classes.  ``classes`` must be
-    closed under a and b."""
-    r = quarter_turn_images(classes)
+    closed under a and b, as every :func:`enumerate_classes` list and
+    every component is."""
+    r = quarter_turn(*twist_tables(classes))
     return [
         (cyc[0], cyc[1] if len(cyc) > 1 else None)
         for cyc in cycles(compose(r, r))
@@ -152,8 +135,7 @@ def involution_pairs(
 
 def action_graph_dot(classes: Sequence[CoverClass]) -> str:
     """Graphviz DOT text of the two-generator action on the class set."""
-    a = action_images(classes, "a")
-    b = action_images(classes, "b")
+    a, b = twist_tables(classes)
     lines = ["digraph action {"]
     for i, c in enumerate(classes):
         label = str(c).replace('"', "'")

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .covers import CoverClass
-from .monodromy import _image_pair, action_images, quarter_turn_images
+from .monodromy import quarter_turn, twist_tables
 from .perms import (
     Perm,
     cycle_string,
     cycle_type,
     cycles,
     commutator,
+    compose,
     inverse,
     is_transitive,
     orbits,
@@ -133,7 +134,7 @@ def _cylinder_rows(s: SquareTiledSurface) -> list[list[tuple[int, ...]]]:
 def act_U(s: SquareTiledSurface) -> SquareTiledSurface:
     """Horizontal shear: v becomes v*h, h is unchanged (so cylinder
     circumferences are preserved).  On pairs this is the twist b."""
-    return SquareTiledSurface(*_image_pair("b", s.v, s.h))
+    return SquareTiledSurface(compose(s.v, s.h), s.h)
 
 
 def act_R(s: SquareTiledSurface) -> SquareTiledSurface:
@@ -147,8 +148,8 @@ def ur_orbits(classes: Sequence[CoverClass]) -> list[tuple[int, ...]]:
     index tuples (sorted by smallest member).  U = b and R are read off
     the a and b tables, so ``classes`` must be closed under a and b, as
     every enumerated list and every component is."""
-    gens = [action_images(classes, "b"), quarter_turn_images(classes)]
-    return orbits(gens, len(classes))
+    a, b = twist_tables(classes)
+    return orbits([b, quarter_turn(a, b)], len(classes))
 
 
 def weierstrass_parity(cover: CoverClass) -> int:

@@ -124,7 +124,9 @@ def test_conjugate_shape_symmetry():
 
 def test_character_table_past_its_bound_raises_capacity_error():
     assert MAX_TABLE_DEGREE == 16
-    with pytest.raises(CapacityError, match="character-table bound 16"):
+    with pytest.raises(
+        CapacityError, match="^character-table degree 17 exceeds its bound 16$"
+    ):
         CharacterTable.build(17)
 
 

@@ -227,6 +227,33 @@ def test_verify_family_with_an_empty_prime_list_is_exit_2_before_any_check(
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("primes,entry", [("5,,7", "''"), ("5,x", "'x'")])
+def test_verify_bad_primes_entry_is_named(primes, entry, capsys, monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "verify_family", no_check)
+    code, out, err = run(["verify", "--family", "g2_31", "--primes", primes], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: bad --primes entry {entry}\n"
+
+
+def test_parser_defaults_read_the_bound_constants(capsys, monkeypatch):
+    def defaults():
+        parser = cli.build_parser()
+        counts = parser.parse_args(["counts", "--d", "5", "--sigma", "3"])
+        probe = parser.parse_args(["probe-g3"])
+        return counts.max_degree, probe.max_prime
+
+    assert defaults() == (covers.DEFAULT_MAX_DEGREE, formulas.MAX_CLOSED_FORM_DEGREE)
+    monkeypatch.setattr(cli, "DEFAULT_MAX_DEGREE", 7)
+    monkeypatch.setattr(formulas, "MAX_CLOSED_FORM_DEGREE", 61)
+    assert defaults() == (7, 61)
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["enumerate", "--help"])
+    assert "enumeration safety bound (default 7)" in capsys.readouterr().out
+
+
 def test_invalid_sigma_exit_code(capsys):
     code, _, err = run(["counts", "--d", "5", "--sigma", "x"], capsys)
     assert code == 2
@@ -642,11 +669,15 @@ def test_cache_unreadable_path_is_exit_4(tmp_path, capsys):
     assert "cache" in err
 
 
-def test_cache_env_var_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TORUSCOVERS_CACHE_DIR", str(tmp_path))
-    code, _, err = run(["sweep", "--d", "3", "--sigma", "3"], capsys)
-    assert code == 0
-    assert (tmp_path / "results.jsonl").exists()
+def test_cache_env_var_is_ignored(tmp_path, capsys, monkeypatch):
+    # only --cache-dir turns the result cache on
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("TORUSCOVERS_CACHE_DIR", str(cache_dir))
+    for argv in (["counts", "--d", "5", "--sigma", "3"],
+                 ["sweep", "--d", "3", "--sigma", "3"]):
+        code, _, err = run(argv, capsys)
+        assert code == 0 and "cache hits" not in err
+    assert not cache_dir.exists()
 
 
 def test_console_script_entry_point():

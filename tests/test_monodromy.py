@@ -4,7 +4,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruscovers import covers, monodromy
+from toruscovers import covers
 from toruscovers.covers import (
     CoverClass,
     RamificationProfile,
@@ -12,13 +12,11 @@ from toruscovers.covers import (
     enumerate_classes,
 )
 from toruscovers.monodromy import (
-    ACTION_NAMES,
-    _image_pair,
     action_graph_dot,
-    action_images,
     decompose,
     involution_pairs,
-    quarter_turn_images,
+    quarter_turn,
+    twist_tables,
 )
 from toruscovers.origami import ur_orbits
 from toruscovers.perms import (
@@ -32,21 +30,18 @@ from toruscovers.perms import (
     partitions,
 )
 
-# the pair maps of the generators that the package reads off the a and b
-# tables instead of canonicalizing; they are the oracle for those tables
+# the pair maps of the twists a and b, and of the generators that the
+# package reads off the a and b tables instead of canonicalizing; they are
+# the oracle for those tables
 _ORACLE = {
+    "a": lambda alpha, beta: (alpha, compose(alpha, beta)),
+    "b": lambda alpha, beta: (compose(alpha, beta), beta),
     "a_inv": lambda alpha, beta: (alpha, compose(inverse(alpha), beta)),
     "b_inv": lambda alpha, beta: (compose(alpha, inverse(beta)), beta),
     "inv": lambda alpha, beta: (inverse(alpha), inverse(beta)),
     "R": lambda alpha, beta: (inverse(beta), alpha),
 }
-GENERATORS = ACTION_NAMES + tuple(_ORACLE)
-
-
-def _pair_image(name, alpha, beta):
-    if name in _ORACLE:
-        return _ORACLE[name](alpha, beta)
-    return _image_pair(name, alpha, beta)
+GENERATORS = tuple(_ORACLE)
 
 
 def _cls(alpha, beta, d):
@@ -55,21 +50,21 @@ def _cls(alpha, beta, d):
 
 def _image(name, c):
     """One generator image of a class, canonicalized afresh."""
-    return CoverClass.from_pair(*_pair_image(name, c.alpha, c.beta))
+    return CoverClass.from_pair(*_ORACLE[name](c.alpha, c.beta))
 
 
 def _oracle_table(name, classes):
     """Index table of one generator, every image canonicalized afresh."""
     index = {(c.alpha, c.beta): i for i, c in enumerate(classes)}
-    return tuple(index[canonical_pair(*_pair_image(name, c.alpha, c.beta))]
+    return tuple(index[canonical_pair(*_ORACLE[name](c.alpha, c.beta))]
                  for c in classes)
 
 
 def _tables(classes):
     """Every generator's index table, as the package derives it from the
     a and b tables."""
-    a, b = action_images(classes, "a"), action_images(classes, "b")
-    r = quarter_turn_images(classes)
+    a, b = twist_tables(classes)
+    r = quarter_turn(a, b)
     return {"a": a, "b": b, "a_inv": inverse(a), "b_inv": inverse(b),
             "R": r, "inv": compose(r, r)}
 
@@ -86,13 +81,15 @@ def test_actions_preserve_commutator_class_and_transitivity():
 def test_action_images_on_a_known_pair():
     c = _cls("(1 5)", "(1 2 3 4)", 5)
     a, b = c.alpha, c.beta
-    img = _image("a", CoverClass.from_pair(a, b))
-    # a: (alpha, beta) -> (alpha, alpha beta), up to conjugation
-    want = CoverClass.from_pair(a, compose(a, b))
-    assert (img.alpha, img.beta) == (want.alpha, want.beta)
-    img = _image("b", CoverClass.from_pair(a, b))
-    want = CoverClass.from_pair(compose(a, b), b)
-    assert (img.alpha, img.beta) == (want.alpha, want.beta)
+    # a: (alpha, beta) -> (alpha, alpha beta) and
+    # b: (alpha, beta) -> (alpha beta, beta), up to conjugation
+    want = [CoverClass.from_pair(a, compose(a, b)),
+            CoverClass.from_pair(compose(a, b), b)]
+    for g, w in zip("ab", want):
+        img = _image(g, CoverClass.from_pair(a, b))
+        assert (img.alpha, img.beta) == (w.alpha, w.beta)
+    # the property holds the same two canonical pairs, a first
+    assert c.twists == tuple((w.alpha, w.beta) for w in want)
 
 
 def test_actions_are_invertible_on_the_class_set():
@@ -183,7 +180,7 @@ def test_queries_reject_a_list_not_closed_under_the_action(query):
         run()
     named = [c for c in kept if f"of class {c} " in str(err.value)]
     assert len(named) == 1
-    images = [_image(g, named[0]) for g in ACTION_NAMES]
+    images = [_image(g, named[0]) for g in "ab"]
     assert (dropped.alpha, dropped.beta) in {(c.alpha, c.beta) for c in images}
 
 
@@ -195,12 +192,6 @@ def test_action_graph_dot_mentions_every_class():
     for i in range(len(classes)):
         assert f"n{i}" in dot
     assert dot.count("->") >= 2 * len(classes)
-
-
-def test_unknown_action_name_rejected():
-    c = _cls("(1 2 3)", "(1 2)", 3)
-    with pytest.raises(ValueError, match="unknown action"):
-        _image_pair("c", c.alpha, c.beta)
 
 
 def test_each_class_canonicalizes_each_generator_image_once(monkeypatch):
@@ -218,7 +209,6 @@ def test_each_class_canonicalizes_each_generator_image_once(monkeypatch):
         return canonical_pair(alpha, beta)
 
     monkeypatch.setattr(covers, "canonical_pair", counting)
-    monkeypatch.setattr(monodromy, "canonical_pair", counting)
     classes = enumerate_classes(6, prof)
     calls.clear()
     got = [
@@ -231,13 +221,23 @@ def test_each_class_canonicalizes_each_generator_image_once(monkeypatch):
     # a and b, once each; every other table is read off those two
     assert len(classes) == 88
     assert len(calls) == 2 * len(classes)
-    # the memo holds the list's own tuples, and action_images reads it
-    for g in ("a", "b"):
-        for c, j in zip(classes, action_images(classes, g)):
-            assert c.images[g][0] is classes[j].alpha and c.images[g][1] is classes[j].beta
+    # each class keeps its two images, and the tables read them again
+    a, b = twist_tables(classes)
+    for c, i, j in zip(classes, a, b):
+        assert c.twists == ((classes[i].alpha, classes[i].beta),
+                            (classes[j].alpha, classes[j].beta))
     assert len(calls) == 2 * len(classes)
-    with pytest.raises(ValueError, match="unknown action"):
-        action_images(classes, "c")
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_twists_are_the_canonical_a_and_b_images(d):
+    # for every class of every sigma, the property equals the a and b pair
+    # maps canonicalized afresh
+    for sigma in partitions(d):
+        for c in enumerate_classes(d, RamificationProfile.of(d, sigma)):
+            assert c.twists == tuple(
+                canonical_pair(*_ORACLE[g](c.alpha, c.beta)) for g in "ab"
+            )
 
 
 @lru_cache(maxsize=None)
@@ -252,7 +252,7 @@ def _classes_of_degree(d):
 @lru_cache(maxsize=None)
 def _filled_tables(d):
     # every generator table of the degree-d classes, read twice: the second
-    # read comes from the memos the first one filled
+    # read comes from the twists the first one filled
     classes = _classes_of_degree(d)
     first = _tables(classes)
     second = _tables(classes)
@@ -283,7 +283,7 @@ def test_quarter_turn_and_involution_read_off_a_and_b(d):
     checked = 0
     for sigma in partitions(d):
         classes = enumerate_classes(d, RamificationProfile.of(d, sigma))
-        assert quarter_turn_images(classes) == _oracle_table("R", classes)
+        assert quarter_turn(*twist_tables(classes)) == _oracle_table("R", classes)
         inv = _oracle_table("inv", classes)
         assert involution_pairs(classes) == [
             (cyc[0], cyc[1] if len(cyc) > 1 else None) for cyc in cycles(inv)
@@ -303,15 +303,15 @@ def test_relabelling_invariance_and_twist_closure(data):
     c = classes[i]
     relabelled = CoverClass(conjugate(t, c.alpha), conjugate(t, c.beta))
     fresh = CoverClass(c.alpha, c.beta)
-    assert fresh.images == {}
+    assert "twists" not in vars(fresh)
     assert canonical_pair(relabelled.alpha, relabelled.beta) == (c.alpha, c.beta)
     assert relabelled.stabilizer_order == fresh.stabilizer_order == c.stabilizer_order
-    # the closure read off the tables of the memo-filled list, and one
-    # image of the relabelled pair canonicalized afresh
+    # the closure read off the tables of the list whose twists are filled,
+    # and one image of the relabelled pair canonicalized afresh
     tables = _filled_tables(d)
     img = {name: table[i] for name, table in tables.items()}
-    assert set(c.images) == set(ACTION_NAMES)
-    image = CoverClass.from_pair(*_pair_image(g, relabelled.alpha, relabelled.beta))
+    assert "twists" in vars(c)
+    image = CoverClass.from_pair(*_ORACLE[g](relabelled.alpha, relabelled.beta))
     assert image == classes[img[g]]
     assert tables["a_inv"][img["a"]] == tables["a"][img["a_inv"]] == i
     assert tables["b_inv"][img["b"]] == tables["b"][img["b_inv"]] == i
