@@ -117,11 +117,6 @@ class ResultCache:
             self._records[self._key_text(key)] = value
 
 
-def _cache_from_args(args) -> Optional[ResultCache]:
-    directory = getattr(args, "cache_dir", None)
-    return ResultCache.at(directory) if directory else None
-
-
 def _holds(value, fields) -> bool:
     """Whether a cached value is a dict holding every field a command
     prints from it; any other hit is treated as a miss and recomputed."""
@@ -137,6 +132,23 @@ def _counts_ok(value) -> bool:
         and isinstance(types, list)
         and all(_holds(t, ("type", "n", "weight")) for t in types)
     )
+
+
+def _cache_key(kind: str, d: int, sigma) -> dict:
+    """The key of one cached result; ``kind`` names the command."""
+    return {"d": d, "sigma": sigma, "kind": kind, "version": CACHE_VERSION}
+
+
+def _cached(cache: Optional[ResultCache], key: dict, ok, compute) -> tuple[dict, bool]:
+    """The value cached under ``key`` when ``ok`` accepts it, else that of
+    ``compute()``, stored under ``key``; and whether it was a hit."""
+    value = cache.get(key) if cache else None
+    if ok(value):
+        return value, True
+    value = compute()
+    if cache:
+        cache.put(key, value)
+    return value, False
 
 
 # ---------------------------------------------------------------------------
@@ -256,27 +268,21 @@ def cmd_counts(args) -> int:
     formula = args.method == "formula"
     if formula:
         prof = _profile(args, formulas.MAX_CLOSED_FORM_DEGREE, "closed-form degree")
+        family = formulas.family_of(prof)
+        if family is None or not formulas.is_prime(args.d):
+            sigmas = " | ".join(map(formulas.family_sigma, formulas.FAMILIES))
+            return _fail(
+                EXIT_INVALID,
+                "--method formula needs prime d and sigma in one of the "
+                f"closed-form families ({sigmas})",
+            )
     else:
         prof = _profile(args)
-    cache = _cache_from_args(args)
-    key = {
-        "d": args.d,
-        "sigma": list(prof.parts),
-        "kind": f"counts/{args.method}",
-        "version": CACHE_VERSION,
-    }
-    payload = cache.get(key) if cache else None
-    if not _counts_ok(payload):
+
+    def compute() -> dict:
         if formula:
-            family = formulas.family_of(prof)
-            if family is None or not formulas.is_prime(args.d):
-                return _fail(
-                    EXIT_INVALID,
-                    "--method formula needs prime d and sigma in one of the "
-                    "closed-form families (3 | 2,2 | 5)",
-                )
             N, M = formulas.closed_N_M(args.d, family)
-            payload = {
+            return {
                 "d": args.d,
                 "sigma": list(prof.parts),
                 "family": family,
@@ -284,16 +290,15 @@ def cmd_counts(args) -> int:
                 "M": str(M),
                 "slope": str(slope_from_counts(prof, N, M).slope),
             }
-        else:
-            method = "burnside_prime" if args.method == "burnside" else args.method
-            table = count_table(
-                args.d, prof, method=method, max_degree=args.max_degree
-            )
-            payload = table.as_dict()
-            s = slope(table)
-            payload["slope"] = None if s.slope is None else str(s.slope)
-        if cache:
-            cache.put(key, payload)
+        table = count_table(
+            args.d, prof, method=args.method, max_degree=args.max_degree
+        )
+        s = slope(table)
+        return {**table.as_dict(), "slope": None if s.slope is None else str(s.slope)}
+
+    cache = ResultCache.at(args.cache_dir) if args.cache_dir else None
+    key = _cache_key(f"counts/{args.method}", args.d, list(prof.parts))
+    payload, _ = _cached(cache, key, _counts_ok, compute)
     lines = [
         f"d={payload['d']} sigma={payload['sigma']}",
         *(
@@ -352,7 +357,7 @@ def cmd_genus(args) -> int:
         **inv.as_dict(),
     }
     family = formulas.family_of(prof)
-    if family in ("g2_31", "g2_22") and formulas.is_prime(args.d) and args.d >= 5:
+    if family in formulas.GENUS2_FAMILIES and formulas.is_prime(args.d) and args.d >= 5:
         payload["closed_form"] = formulas.genus_closed(
             args.d, family
         ).flag_against(inv.genus)
@@ -360,16 +365,10 @@ def cmd_genus(args) -> int:
         f"orbifold point of order {p.order}: {p.count} per degenerate fiber"
         for p in inv.orbifold
     ]
-    if "closed_form" in payload:
-        c = payload["closed_form"]
-        lines.append(
-            f"printed closed form: {c['printed']} "
-            f"({'matches' if c['printed_matches'] else 'MISMATCH'})"
-        )
-        lines.append(
-            f"repaired closed form: {c['repaired']} "
-            f"({'matches' if c['repaired_matches'] else 'MISMATCH'})"
-        )
+    closed = payload.get("closed_form")
+    for variant in ("printed", "repaired") if closed else ():
+        verdict = "matches" if closed[f"{variant}_matches"] else "MISMATCH"
+        lines.append(f"{variant} closed form: {closed[variant]} ({verdict})")
     _emit(args, payload, lines)
     return 0
 
@@ -492,8 +491,9 @@ def verify_dejonquieres() -> Iterator[Check]:
 
 
 def verify_slope10() -> Iterator[Check]:
-    for sigma, low in (("3", 3), ("2,2", 4)):
-        for d in range(low, 10):
+    for family in formulas.GENUS2_FAMILIES:
+        sigma = formulas.family_sigma(family)
+        for d in range(formulas.family_min_degree(family), 10):
             prof = RamificationProfile.of(d, sigma)
             rows = component_rows(prof, decompose(d, prof))
             if rows:
@@ -642,24 +642,13 @@ def _sweep_row_ok(row, with_genus: bool) -> bool:
     return "note" in row or _holds(row, ("M", "slope", *genus))
 
 
-def _sweep_key(d: int, sigma: str, with_genus: bool) -> dict:
-    return {
-        "d": d,
-        "sigma": sigma,
-        "kind": "sweep" + ("+genus" if with_genus else ""),
-        "version": CACHE_VERSION,
-    }
-
-
 def _short_sigma(text: str) -> str:
-    """The one spelling of a sigma text that sweep prints and caches
-    under: its nontrivial parts, descending, joined by commas ("1" when
-    there are none).  Raises ValueError on text that names no profile;
+    """The short_spec of a sigma text, the one spelling that sweep prints
+    and caches under.  Raises ValueError on text that names no profile;
     whether it fits a degree is checked per row."""
     tokens = text.replace(",", " ").split()
     # one fixed point more than the parts need, so "" and "1" fit too
-    prof = RamificationProfile.of(sum(map(int, tokens)) + 1, tokens)
-    return ",".join(map(str, prof.nontrivial_parts)) or "1"
+    return RamificationProfile.of(sum(map(int, tokens)) + 1, tokens).short_spec
 
 
 def cmd_sweep(args) -> int:
@@ -668,18 +657,15 @@ def cmd_sweep(args) -> int:
         sigma = _short_sigma(args.sigma)
     except ValueError as e:
         return _fail(EXIT_INVALID, f"invalid sigma: {e}")
-    cache = _cache_from_args(args)
+    cache = ResultCache.at(args.cache_dir) if args.cache_dir else None
+    kind = "sweep" + ("+genus" if args.genus else "")
     rows, cached = [], 0
     for d in ds:
-        key = _sweep_key(d, sigma, args.genus)
-        row = cache.get(key) if cache else None
-        if _sweep_row_ok(row, args.genus):
-            cached += 1
-        else:
-            row = _sweep_row(d, sigma, args.genus)
-            if cache:
-                cache.put(key, row)
+        row, hit = _cached(cache, _cache_key(kind, d, sigma),
+                           lambda row: _sweep_row_ok(row, args.genus),
+                           lambda: _sweep_row(d, sigma, args.genus))
         rows.append(row)
+        cached += hit
     order = ("d", "sigma", "N", "M", "slope", "genus", "note")
     payload = [{k: row[k] for k in order if k in row} for row in rows]
     lines = [
@@ -693,11 +679,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_probe_g3(args) -> int:
     _at_least("--max-prime", args.max_prime, 5)
-    check_capacity(
-        args.max_prime, formulas.MAX_CLOSED_FORM_DEGREE, "closed-form degree"
-    )
-    primes = [p for p in formulas.primes_up_to(args.max_prime) if p >= 5]
-    rows = formulas.g3_slope_probe(primes)
+    # the largest prime the probe uses is held to the bound before any
+    # sieve; one lies in (bound, 2 bound] (Bertrand), so look no higher
+    bound = formulas.MAX_CLOSED_FORM_DEGREE
+    top = min(args.max_prime, 2 * bound)
+    check_capacity(max(filter(formulas.is_prime, range(top + 1))), bound,
+                   "closed-form degree")
+    rows = formulas.g3_slope_probe(formulas.primes_up_to(args.max_prime))
     for row in rows:
         row["slope_decimal"] = f"{float(Fraction(row['slope'])):.6f}"
     lines = [
@@ -727,6 +715,8 @@ def cmd_origami_render(args) -> int:
             )
         prof = _profile(args)
         classes = enumerate_classes(args.d, prof)
+        if not classes:
+            return _fail(EXIT_INVALID, f"d={args.d} sigma={prof} has no cover classes")
         if not 0 <= args.index < len(classes):
             return _fail(
                 EXIT_INVALID,

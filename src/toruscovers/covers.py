@@ -22,6 +22,7 @@ in the coset of its representative).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -36,10 +37,12 @@ from .perms import (
     class_elements,
     classify_group,
     compose,
+    conjugate,
     cycle_layout,
     cycle_string,
     cycle_type,
     inverse,
+    is_prime,
     is_transitive,
     orbit_of,
     partition_sign,
@@ -134,6 +137,12 @@ class RamificationProfile:
         return (k + 2) // 2
 
     @property
+    def short_spec(self) -> str:
+        """The short spelling of sigma: its nontrivial parts, descending,
+        joined by commas ("1" when there are none)."""
+        return ",".join(map(str, self.nontrivial_parts)) or "1"
+
+    @property
     def kappa_factor(self) -> Fraction:
         """d - sum(1/l_i) over all parts, the weight entering the slope."""
         return self.degree - sum(Fraction(1, l) for l in self.parts)
@@ -198,14 +207,9 @@ def canonical_pair(alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
     (alpha, beta): the cycle layout of beta relabels it as the fixed
     representative of its cycle type, then alpha is minimized over the
     remaining freedom (the centralizer of that representative)."""
-    if len(alpha) != len(beta):
-        raise ValueError(f"degree mismatch: {len(alpha)} vs {len(beta)}")
     parts, t = cycle_layout(beta)
-    laid = [0] * len(alpha)
-    for x, y in enumerate(alpha):
-        laid[t[x]] = t[y]
     ctx = _type_context(parts)
-    return _min_over_elements(tuple(laid), ctx), ctx.rep
+    return _min_over_elements(conjugate(t, alpha), ctx), ctx.rep  # checks degrees
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +471,6 @@ class CountsTable:
         }
 
 
-def _table_from_counts(
-    degree: int, profile: RamificationProfile, counts: dict[Partition, int]
-) -> CountsTable:
-    rows = tuple(
-        (parts, counts[parts])
-        for parts in partitions(degree)
-        if counts.get(parts, 0)
-    )
-    return CountsTable(degree, profile, rows)
-
-
 def aut_weighted_counts(
     degree: int,
     profile: RamificationProfile,
@@ -505,7 +498,7 @@ def count_table(
 ) -> CountsTable:
     """Count classes per beta cycle type.
 
-    ``brute`` counts the classes (valid for any degree).  ``burnside_prime``
+    ``brute`` counts the classes (valid for any degree).  ``burnside``
     reads :func:`aut_weighted_counts`, the raw solution count over
     |C(beta0)|; that is the class count when no class has an automorphism,
     as at prime d with nontrivial sigma (an automorphism of a transitive
@@ -513,23 +506,21 @@ def count_table(
     commutator).  Other inputs raise ValueError before any enumeration.
     """
     if method == "brute":
-        counts: dict[Partition, int] = {}
-        for c in enumerate_classes(degree, profile, max_degree=max_degree):
-            counts[c.beta_type] = counts.get(c.beta_type, 0) + 1
-        return _table_from_counts(degree, profile, counts)
-    if method == "burnside_prime":
-        if degree < 2 or any(degree % k == 0 for k in range(2, degree)):
-            raise ValueError("burnside_prime requires a prime degree")
+        classes = enumerate_classes(degree, profile, max_degree=max_degree)
+        counts = Counter(c.beta_type for c in classes)
+    elif method == "burnside":
+        if not is_prime(degree):
+            raise ValueError("burnside requires a prime degree")
         if not profile.nontrivial_parts:
             raise ValueError(
-                f"burnside_prime requires a nontrivial sigma, not {profile}: "
+                f"burnside requires a nontrivial sigma, not {profile}: "
                 "commuting pairs have automorphisms"
             )
         weighted = aut_weighted_counts(degree, profile, max_degree)
         if any(w.denominator != 1 for w in weighted.values()):
             raise ConsistencyError("a class at prime degree has an automorphism")
-        return _table_from_counts(
-            degree, profile, {t: int(w) for t, w in weighted.items()}
-        )
-    raise ValueError(f"unknown method {method!r}")
-
+        counts = {t: int(w) for t, w in weighted.items()}
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    rows = tuple(sorted(counts.items(), reverse=True))  # reverse-lex
+    return CountsTable(degree, profile, rows)

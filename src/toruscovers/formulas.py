@@ -23,21 +23,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
-from math import comb, factorial, gcd, isqrt, prod
+from itertools import product
+from math import comb, factorial, gcd, prod
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .covers import RamificationProfile, check_capacity
 from .geometry import slope_from_counts
-from .perms import Partition, partitions
+from .perms import Partition, is_prime, multiplicities, partitions
 
 Sizes = Sequence[tuple[int, int]]  # (size, multiplicity) pairs, sizes descending
 
 FAMILIES = ("g2_31", "g2_22", "g3_5")
+# the g = 2 families: slope 10, and a closed form of the genus
+GENUS2_FAMILIES = ("g2_31", "g2_22")
 
 _FAMILY_SIGMA = {"g2_31": "3", "g2_22": "2,2", "g3_5": "5"}
-_FAMILY_MIN_D = {"g2_31": 3, "g2_22": 4, "g3_5": 5}
 
 # largest degree of any closed form; the g3_5 walk in assembled_N_M grows
 # about as d^3
@@ -54,23 +55,23 @@ def family_sigma(family: str) -> str:
     return _FAMILY_SIGMA[family]
 
 
+def family_min_degree(family: str) -> int:
+    """Smallest degree the family's sigma fits: the sum of its parts."""
+    return sum(map(int, family_sigma(family).split(",")))
+
+
 def family_of(profile: RamificationProfile) -> Optional[str]:
     """The named family whose sigma is the profile's, or None."""
-    sigma = ",".join(map(str, profile.nontrivial_parts))
-    return next((f for f, s in _FAMILY_SIGMA.items() if s == sigma), None)
+    return next((f for f, s in _FAMILY_SIGMA.items() if s == profile.short_spec), None)
 
 
 def _check_family_degree(degree: int, family: str) -> None:
-    family_sigma(family)
-    if degree < _FAMILY_MIN_D[family]:
-        raise ValueError(f"family {family} needs d >= {_FAMILY_MIN_D[family]}")
+    low = family_min_degree(family)
+    if degree < low:
+        raise ValueError(f"family {family} needs d >= {low}")
     check_capacity(degree, MAX_CLOSED_FORM_DEGREE, "closed-form degree")
     if not is_prime(degree):
         raise ValueError(f"closed formulas need prime d, got {degree}")
-
-
-def is_prime(n: int) -> bool:
-    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -244,10 +245,6 @@ def _normalize_type(degree: int, beta_type: Sequence[int]) -> Partition:
     return parts
 
 
-def _sizes_with_mult(parts: Partition) -> list[tuple[int, int]]:
-    return [(p, len(list(run))) for p, run in groupby(parts)]
-
-
 def _count_sizes(degree: int, family: str, sizes: Sizes) -> int:
     """The family's case analysis, on a beta type given as Sizes."""
     if len(sizes) == 1:
@@ -292,7 +289,7 @@ def per_type_N(degree: int, family: str, beta_type: Sequence[int]) -> int:
     UnclassifiedTypeError."""
     _check_family_degree(degree, family)
     parts = _normalize_type(degree, beta_type)
-    return _count_sizes(degree, family, _sizes_with_mult(parts))
+    return _count_sizes(degree, family, tuple(multiplicities(parts).items()))
 
 
 def _admissible_sizes(degree: int, family: str) -> Iterator[Sizes]:
@@ -513,7 +510,7 @@ def dejonquieres(genus: int, mu: Sequence[int]) -> int:
         raise ValueError(
             f"{mu} is not a partition of {2 * genus - 2} into {genus - 1} parts"
         )
-    values = _sizes_with_mult(parts)  # [(a_i, n_i)] distinct values
+    values = multiplicities(parts).items()  # [(a_i, n_i)] distinct values
     total = 0
     for m in product(*(range(n + 1) for _, n in values)):
         j = [n - k for (_, n), k in zip(values, m)]

@@ -16,7 +16,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 Perm = tuple[int, ...]
@@ -227,11 +227,16 @@ def _partitions_cached(n: int) -> tuple[Partition, ...]:
 
 
 def multiplicities(parts: Partition) -> dict[int, int]:
-    """Map cycle length -> number of cycles of that length."""
+    """Map cycle length -> number of cycles, in order of first appearance."""
     out: dict[int, int] = {}
     for l in parts:
         out[l] = out.get(l, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    """Whether ``n`` is prime, by trial division up to its square root."""
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 def class_size(parts: Partition) -> int:

@@ -288,6 +288,14 @@ def test_probe_small(capsys):
     assert [r["d"] for r in rows] == [5, 7, 11, 13]
 
 
+@pytest.mark.parametrize("max_prime", ["200", "210"])
+def test_probe_g3_bounds_the_largest_prime_it_uses(max_prime, capsys):
+    # 199 is the largest prime below 211, so both print the table of 199
+    code, out, err = run(["probe-g3", "--max-prime", max_prime], capsys)
+    assert (code, err) == (0, "")
+    assert out == run(["probe-g3", "--max-prime", "199"], capsys)[1]
+
+
 def test_origami_render_ascii(capsys):
     code, out, _ = run(
         ["origami", "render", "--d", "5", "--alpha", "(1 5)",
@@ -312,6 +320,16 @@ def test_origami_render_by_index(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("index", ["0", "3"])
+def test_origami_render_of_an_empty_family_says_so(index, capsys):
+    # sigma = (2) is odd, so no degree admits a cover
+    code, out, err = run(
+        ["origami", "render", "--d", "4", "--sigma", "2", "--index", index], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == "error: d=4 sigma=(2,1,1) has no cover classes\n"
 
 
 def test_origami_render_refuses_more_squares_than_its_cycles_name(capsys):
@@ -498,6 +516,29 @@ def test_burnside_with_trivial_sigma_is_exit_2(capsys):
     )
     assert code == 2 and out == ""
     assert "nontrivial sigma" in err
+
+
+def test_burnside_at_composite_degree_names_the_cli_method(capsys):
+    code, out, err = run(
+        ["counts", "--d", "9", "--sigma", "3", "--method", "burnside"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "burnside" in err and "burnside_prime" not in err
+
+
+@pytest.mark.parametrize(
+    "text,short,family",
+    [("", "1", None), ("1", "1", None), ("3,", "3", "g2_31"),
+     ("1,3", "3", "g2_31"), ("2,2", "2,2", "g2_22")],
+)
+def test_sweep_spelling_of_sigma_names_the_family_of_its_profile(
+    text, short, family
+):
+    prof = RamificationProfile.of(7, text)
+    assert cli._short_sigma(text) == prof.short_spec == short
+    assert formulas.family_of(prof) == family
+    named = [f for f in formulas.FAMILIES if formulas.family_sigma(f) == short]
+    assert named == ([family] if family else [])
 
 
 def test_cache_version_bump_recomputes(tmp_path, capsys):

@@ -353,14 +353,14 @@ def test_burnside_agrees_with_brute_at_primes():
     for d, sigma in [(5, "3"), (5, "2,2"), (5, "5"), (7, "3")]:
         prof = RamificationProfile.of(d, sigma)
         brute = count_table(d, prof, method="brute")
-        fast = count_table(d, prof, method="burnside_prime")
+        fast = count_table(d, prof, method="burnside")
         assert brute.by_type == fast.by_type
 
 
 def test_burnside_rejects_composite_degree():
     prof = RamificationProfile.of(6, "3")
     with pytest.raises(ValueError):
-        count_table(6, prof, method="burnside_prime")
+        count_table(6, prof, method="burnside")
 
 
 def test_burnside_rejects_trivial_sigma_before_any_enumeration(monkeypatch):
@@ -370,7 +370,7 @@ def test_burnside_rejects_trivial_sigma_before_any_enumeration(monkeypatch):
 
     monkeypatch.setattr(covers, "enumerate_classes", no_work)
     with pytest.raises(ValueError, match="nontrivial sigma"):
-        count_table(5, RamificationProfile.of(5, "1"), method="burnside_prime")
+        count_table(5, RamificationProfile.of(5, "1"), method="burnside")
 
 
 def test_capacity_guard():

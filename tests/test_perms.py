@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toruscovers.formulas import primes_up_to
 from toruscovers.perms import (
     centralizer_elements,
     centralizer_order,
@@ -21,6 +22,7 @@ from toruscovers.perms import (
     group_order,
     identity,
     inverse,
+    is_prime,
     is_transitive,
     multiplicities,
     parse_cycles,
@@ -127,6 +129,10 @@ def test_type_weight():
     assert type_weight((3,)) == Fraction(1, 3)
     assert type_weight((2, 1)) == Fraction(1, 2) + 1
     assert type_weight((2, 2, 1)) == Fraction(2)
+
+
+def test_is_prime_matches_the_sieve():
+    assert [n for n in range(10**4 + 1) if is_prime(n)] == primes_up_to(10**4)
 
 
 def test_multiplicities():
