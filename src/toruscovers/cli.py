@@ -267,7 +267,9 @@ def cmd_enumerate(args) -> int:
 def cmd_counts(args) -> int:
     formula = args.method == "formula"
     if formula:
-        prof = _profile(args, formulas.MAX_CLOSED_FORM_DEGREE, "closed-form degree")
+        prof = _profile(
+            args, formulas.MAX_CLOSED_POLYNOMIAL_DEGREE, "closed-polynomial degree"
+        )
         family = formulas.family_of(prof)
         if family is None or not formulas.is_prime(args.d):
             sigmas = " | ".join(map(formulas.family_sigma, formulas.FAMILIES))

@@ -212,6 +212,73 @@ def canonical_pair(alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
     return _min_over_elements(conjugate(t, alpha), ctx), ctx.rep  # checks degrees
 
 
+def origami_key(alpha: Perm, beta: Perm) -> bytes:
+    """Key of the simultaneous-conjugation class of a transitive pair:
+    equal for two pairs exactly when they are conjugate, in O(d^2) time.
+
+    A breadth-first walk from a start labels the points in the order it
+    reaches them: the start is 0, and at each reached point x, in label
+    order, alpha(x) and then beta(x) take the next free labels if they
+    have none.  The sequence of (label of alpha(x), label of beta(x))
+    over x in label order spells the pair relabelled, so two starts give
+    equal sequences exactly when a conjugation carries one onto the other.
+    The key is the smallest sequence over the starts where alpha beta and
+    beta alpha differ (the support of the commutator alpha^-1 beta^-1
+    alpha beta, which every conjugation respects); a commuting pair starts
+    from every point.  Each sequence is compared with the best so far as
+    it is built and dropped once it is larger.  Labels are below d, so the
+    key is bytes.
+
+    >>> from toruscovers.perms import parse_cycles
+    >>> alpha, beta = parse_cycles("(1 5)", 5), parse_cycles("(1 2 3 4)", 5)
+    >>> t = parse_cycles("(1 4 2)(3 5)", 5)
+    >>> origami_key(alpha, beta) == origami_key(conjugate(t, alpha), conjugate(t, beta))
+    True
+    >>> list(origami_key(alpha, beta))
+    [0, 1, 2, 3, 1, 2, 3, 4, 4, 0]
+    """
+    d = len(alpha)
+    if len(beta) != d:
+        raise ValueError("degree mismatch")
+    starts = [x for x in range(d) if alpha[beta[x]] != beta[alpha[x]]] or range(d)
+    best: list[int] = []
+    for start in starts:
+        label = [-1] * d
+        label[start] = 0
+        order = [start]
+        key: list[int] = []
+        i = 0 if best else -1  # next position compared with best; -1 once below it
+        for x in order:  # grows as the walk goes
+            y = alpha[x]
+            u = label[y]
+            if u < 0:
+                u = label[y] = len(order)
+                order.append(y)
+            y = beta[x]
+            v = label[y]
+            if v < 0:
+                v = label[y] = len(order)
+                order.append(y)
+            key.append(u)
+            key.append(v)
+            if i >= 0:
+                if u != best[i]:
+                    if u > best[i]:
+                        break
+                    i = -1
+                elif v != best[i + 1]:
+                    if v > best[i + 1]:
+                        break
+                    i = -1
+                else:
+                    i += 2
+        else:
+            if len(order) < d:
+                raise ValueError("pair is not transitive; origami key undefined")
+            best = key
+    return bytes(best)
+
+
 # ---------------------------------------------------------------------------
 # cover classes
 
@@ -244,11 +311,16 @@ class CoverClass:
         return cycle_type(commutator(self.alpha, self.beta))
 
     @cached_property
-    def twists(self) -> tuple[tuple[Perm, Perm], tuple[Perm, Perm]]:
-        """Canonical pairs of the images under the twists a and b:
-        (alpha, alpha beta) and (alpha beta, beta), in that order."""
+    def key(self) -> bytes:
+        """The :func:`origami_key` of the pair, equal for conjugate pairs."""
+        return origami_key(self.alpha, self.beta)
+
+    @cached_property
+    def twists(self) -> tuple[bytes, bytes]:
+        """Keys of the images under the twists a and b: (alpha, alpha beta)
+        and (alpha beta, beta), in that order."""
         ab = compose(self.alpha, self.beta)
-        return canonical_pair(self.alpha, ab), canonical_pair(ab, self.beta)
+        return origami_key(self.alpha, ab), origami_key(ab, self.beta)
 
     @cached_property
     def weight(self) -> Fraction:

@@ -40,9 +40,14 @@ GENUS2_FAMILIES = ("g2_31", "g2_22")
 
 _FAMILY_SIGMA = {"g2_31": "3", "g2_22": "2,2", "g3_5": "5"}
 
-# largest degree of any closed form; the g3_5 walk in assembled_N_M grows
-# about as d^3
+# largest degree of the closed forms that walk the admissible types; the
+# g3_5 walk in assembled_N_M grows about as d^3
 MAX_CLOSED_FORM_DEGREE = 199
+# largest degree of the N/M polynomials of closed_N_M, which cost O(1); the
+# bound is set by the length-d profile that `counts --method formula`
+# builds, prints and sums 1/l over: at d = 10,007 that is 30 KB of stdout
+# and 0.04 s on a 2-core x86-64 VM
+MAX_CLOSED_POLYNOMIAL_DEGREE = 10_000
 # largest genus of the de Jonquieres positivity check: about 0.4 s at 16,
 # and each genus more costs about 1.6 times the last (3.2 s at 20)
 MAX_DEJONQUIERES_GENUS = 16
@@ -65,11 +70,17 @@ def family_of(profile: RamificationProfile) -> Optional[str]:
     return next((f for f, s in _FAMILY_SIGMA.items() if s == profile.short_spec), None)
 
 
-def _check_family_degree(degree: int, family: str) -> None:
+def _check_family_degree(degree: int, family: str, polynomial: bool = False) -> None:
+    """Check the degree of a closed form of the family: at least the
+    family's least degree, within the bound (the polynomial one when
+    ``polynomial``), and prime."""
     low = family_min_degree(family)
     if degree < low:
         raise ValueError(f"family {family} needs d >= {low}")
-    check_capacity(degree, MAX_CLOSED_FORM_DEGREE, "closed-form degree")
+    if polynomial:
+        check_capacity(degree, MAX_CLOSED_POLYNOMIAL_DEGREE, "closed-polynomial degree")
+    else:
+        check_capacity(degree, MAX_CLOSED_FORM_DEGREE, "closed-form degree")
     if not is_prime(degree):
         raise ValueError(f"closed formulas need prime d, got {degree}")
 
@@ -346,9 +357,9 @@ def assembled_N_M(
     divided by l once at the end.  aggregated=True returns closed_N_M
     instead; the keyword stays only because the benchmark's
     g3_aggregated job passes it."""
+    _check_family_degree(degree, family)
     if aggregated:
         return closed_N_M(degree, family)
-    _check_family_degree(degree, family)
     N = 0
     per_len = [0] * (degree + 1)  # sum of count * multiplicity, by length
     for sizes in _admissible_sizes(degree, family):
@@ -367,7 +378,7 @@ def closed_N_M(degree: int, family: str) -> tuple[int, Fraction]:
     All three share the factor (d-2)(d-1)(d+1).  The g3_5 pair is the
     prime-degree value of its quasimodular count; the tests refit its
     coefficients from assembled_N_M rather than take them on trust."""
-    _check_family_degree(degree, family)
+    _check_family_degree(degree, family, polynomial=True)
     d = degree
     base = (d - 2) * (d - 1) * (d + 1)
     if family == "g2_31":

@@ -16,11 +16,12 @@ R: (alpha, beta) -> (beta^-1, alpha), is the word a b^-1 a up to
 conjugation by alpha^-1, and R^2 is the elliptic involution
 inv: (alpha, beta) -> (alpha^-1, beta^-1).
 
-So a and b are the only generators ever canonicalized: each class holds
-the canonical pairs of its a and b images (``CoverClass.twists``),
-``twist_tables`` turns them into two tuples of class indices in one pass,
-every other table is composed from those two, and every orbit query
-reads the tuples.
+So a and b are the only generators ever applied: each class holds the
+origami keys of its a and b images (``CoverClass.twists``),
+``twist_tables`` finds them among the classes' own keys
+(``CoverClass.key``) and turns them into two tuples of class indices in
+one pass, every other table is composed from those two, and every orbit
+query reads the tuples.
 """
 from __future__ import annotations
 
@@ -43,11 +44,11 @@ def twist_tables(
     """Index tables (a, b) of the two twists: for each class, the index in
     ``classes`` of its image.  Raises KeyError naming the class when the
     list is not closed under a twist."""
-    index = {(c.alpha, c.beta): i for i, c in enumerate(classes)}
+    index = {c.key: i for i, c in enumerate(classes)}
     tables: tuple[list[int], list[int]] = ([], [])
     for c in classes:
-        for name, pair, table in zip("ab", c.twists, tables):
-            j = index.get(pair)
+        for name, key, table in zip("ab", c.twists, tables):
+            j = index.get(key)
             if j is None:
                 raise KeyError(f"the {name} image of class {c} is not in the list")
             table.append(j)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,22 @@ def test_counts_methods_agree(capsys):
     assert code == 0
     got = json.loads(out)
     assert (got["N"], got["M"]) == (outs[0]["N"], outs[0]["M"])
+
+
+def test_formula_method_past_the_walk_bound_prints_the_polynomial(capsys):
+    # the N/M polynomials are not held to the bound 199 of the type walk
+    code, out, err = run(
+        ["counts", "--d", "211", "--sigma", "5", "--method", "formula",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    got = json.loads(out)
+    d = 211
+    base = (d - 2) * (d - 1) * (d + 1)
+    N = Fraction(5 * base * (61 * d * d - 424 * d + 723), 1152)
+    M = Fraction(base * (637 * d * d - 4408 * d + 7491), 1920)
+    assert (got["family"], got["N"], got["M"]) == ("g3_5", N, str(M))
 
 
 def test_formula_method_rejects_unknown_family(capsys):
@@ -649,7 +666,7 @@ def test_empty_or_non_positive_range_is_exit_2(argv, option, capsys):
     "argv",
     [
         ["characters", "--d", "17"],
-        ["counts", "--d", "211", "--sigma", "3", "--method", "formula"],
+        ["counts", "--d", "10007", "--sigma", "3", "--method", "formula"],
         ["probe-g3", "--max-prime", "211"],
         ["enumerate", "--d", "3000000", "--sigma", "3", "--max-degree", "8"],
         ["counts", "--d", "300000", "--sigma", "3"],

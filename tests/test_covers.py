@@ -10,6 +10,7 @@ from functools import lru_cache
 from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruscovers import covers
 from toruscovers.covers import (
@@ -22,6 +23,7 @@ from toruscovers.covers import (
     canonical_pair,
     count_table,
     enumerate_classes,
+    origami_key,
     period_lattice_index,
 )
 from toruscovers.perms import (
@@ -298,6 +300,61 @@ def test_canonical_pair_is_conjugation_invariant():
     for t in itertools.islice(itertools.permutations(range(d)), 0, 120, 7):
         t = tuple(t)
         assert canonical_pair(conjugate(t, a), conjugate(t, b)) == base
+
+
+# every sigma at d <= 7, and the twist-d9 sets with (2,2) added
+KEY_SETS = ORACLE_SETS[:-1] + [(9, ((5,), (3,), (2, 2)))]
+
+
+@pytest.mark.parametrize("d,sigmas", KEY_SETS, ids=[str(d) for d, _ in KEY_SETS])
+def test_origami_key_splits_pairs_as_canonical_pair_does(d, sigmas):
+    # every class and its a and b images: two pairs share a key exactly
+    # when they share a canonical pair
+    classes = [c for sigma in sigmas
+               for c in enumerate_classes(d, RamificationProfile.of(d, sigma))]
+    pairs = []
+    for c in classes:
+        ab = compose(c.alpha, c.beta)
+        pairs += [(c.alpha, c.beta), (c.alpha, ab), (ab, c.beta)]
+    keys = [origami_key(a, b) for a, b in pairs]
+    canon = [canonical_pair(a, b) for a, b in pairs]
+    assert len(set(zip(keys, canon))) == len(set(keys)) == len(set(canon))
+    assert len({c.key for c in classes}) == len(classes)
+    assert len(classes) == {1: 1, 2: 3, 3: 7, 4: 26, 5: 97, 6: 624, 7: 4163,
+                            9: 5319}[d]
+
+
+@lru_cache(maxsize=None)
+def _classes_of_sigma(d, sigma):
+    return tuple(enumerate_classes(d, RamificationProfile.of(d, sigma)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_origami_key_is_relabelling_invariant(data):
+    # trivial sigma included: a commuting pair walks from every start
+    d = data.draw(st.integers(1, 7), label="d")
+    sigma = data.draw(st.sampled_from(partitions(d)), label="sigma")
+    classes = _classes_of_sigma(d, sigma)
+    if not classes:
+        return
+    c = data.draw(st.sampled_from(classes), label="class")
+    t = tuple(data.draw(st.permutations(range(d)), label="relabelling"))
+    key = origami_key(conjugate(t, c.alpha), conjugate(t, c.beta))
+    assert key == c.key == CoverClass(c.alpha, c.beta).key
+    # the key spells a relabelling of the pair: label x goes to
+    # key[2x] under alpha and to key[2x + 1] under beta
+    assert canonical_pair(tuple(key[0::2]), tuple(key[1::2])) == (c.alpha, c.beta)
+
+
+def test_origami_key_errors():
+    a = parse_cycles("(1 2)", 4)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        origami_key(a, parse_cycles("(1 2)", 3))
+    with pytest.raises(ValueError, match="not transitive"):
+        origami_key(a, parse_cycles("(3 4)", 4))
+    with pytest.raises(ValueError, match="not transitive"):
+        CoverClass(a, a).key
 
 
 def test_profile_parsing():

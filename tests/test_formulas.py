@@ -8,6 +8,7 @@ from toruscovers import formulas
 from toruscovers.covers import CapacityError, RamificationProfile, enumerate_classes
 from toruscovers.formulas import (
     MAX_CLOSED_FORM_DEGREE,
+    MAX_CLOSED_POLYNOMIAL_DEGREE,
     MAX_DEJONQUIERES_GENUS,
     UnclassifiedTypeError,
     admissible_types,
@@ -284,7 +285,9 @@ def test_capacity_messages_name_the_bounded_quantity():
         "de Jonquieres genus 17 exceeds its bound 16":
             lambda: dejonquieres_positive(17),
         "closed-form degree 211 exceeds its bound 199":
-            lambda: closed_N_M(211, "g2_31"),
+            lambda: assembled_N_M(211, "g2_31"),
+        "closed-polynomial degree 10007 exceeds its bound 10000":
+            lambda: closed_N_M(10007, "g2_31"),
     }
     for message, call in messages.items():
         with pytest.raises(CapacityError) as err:
@@ -294,9 +297,19 @@ def test_capacity_messages_name_the_bounded_quantity():
 
 def test_closed_forms_past_their_bound_raise_capacity_error():
     assert MAX_CLOSED_FORM_DEGREE == 199
-    for call in (assembled_N_M, closed_N_M, genus_closed, admissible_types):
+    for call in (assembled_N_M, genus_closed, admissible_types):
         with pytest.raises(CapacityError):
             list(call(211, "g2_31"))
+    # the aggregated assembly reads the polynomial, but keeps the bound of
+    # the walk it stands in for
+    with pytest.raises(CapacityError):
+        assembled_N_M(211, "g2_31", aggregated=True)
+    # the polynomials cost O(1) and have their own bound
+    assert MAX_CLOSED_POLYNOMIAL_DEGREE == 10_000
+    assert closed_N_M(9973, "g2_31") == (3 * 9971 * 9972 * 9974 // 8,
+                                         Fraction(5 * 9971 * 9972 * 9974, 12))
+    with pytest.raises(CapacityError):
+        closed_N_M(10007, "g2_31")
 
 
 def test_gcd_sums_frozen_values():

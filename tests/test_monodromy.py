@@ -10,6 +10,7 @@ from toruscovers.covers import (
     RamificationProfile,
     canonical_pair,
     enumerate_classes,
+    origami_key,
 )
 from toruscovers.monodromy import (
     action_graph_dot,
@@ -88,8 +89,8 @@ def test_action_images_on_a_known_pair():
     for g, w in zip("ab", want):
         img = _image(g, CoverClass.from_pair(a, b))
         assert (img.alpha, img.beta) == (w.alpha, w.beta)
-    # the property holds the same two canonical pairs, a first
-    assert c.twists == tuple((w.alpha, w.beta) for w in want)
+    # the property holds the keys of the same two canonical pairs, a first
+    assert c.twists == tuple(origami_key(w.alpha, w.beta) for w in want)
 
 
 def test_actions_are_invertible_on_the_class_set():
@@ -202,15 +203,25 @@ def test_each_class_canonicalizes_each_generator_image_once(monkeypatch):
         ur_orbits(enumerate_classes(6, prof)),
         involution_pairs(enumerate_classes(6, prof)),
     ]
-    calls = []
+    # the keys of the a and b images canonicalized afresh, before counting
+    oracle = [tuple(_image(g, c).key for g in "ab")
+              for c in enumerate_classes(6, prof)]
+    calls = {"canonical_pair": [], "origami_key": []}
 
-    def counting(alpha, beta):
-        calls.append((alpha, beta))
-        return canonical_pair(alpha, beta)
+    def counting(name):
+        real = getattr(covers, name)
 
-    monkeypatch.setattr(covers, "canonical_pair", counting)
+        def wrapper(alpha, beta):
+            calls[name].append((alpha, beta))
+            return real(alpha, beta)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(covers, name, counting(name))
     classes = enumerate_classes(6, prof)
-    calls.clear()
+    for made in calls.values():
+        made.clear()
     got = [
         decompose(6, prof, classes),
         action_graph_dot(classes),
@@ -218,25 +229,29 @@ def test_each_class_canonicalizes_each_generator_image_once(monkeypatch):
         involution_pairs(classes),
     ]
     assert got == expected
-    # a and b, once each; every other table is read off those two
+    # no image is canonicalized: each class keys itself and its a and b
+    # images once each, and every other table is read off those two
     assert len(classes) == 88
-    assert len(calls) == 2 * len(classes)
-    # each class keeps its two images, and the tables read them again
+    want = {"canonical_pair": 0, "origami_key": 3 * len(classes)}
+    assert {name: len(made) for name, made in calls.items()} == want
+    # each class keeps its two image keys, which are the keys of the
+    # classes the tables name, and the tables read them again
     a, b = twist_tables(classes)
     for c, i, j in zip(classes, a, b):
-        assert c.twists == ((classes[i].alpha, classes[i].beta),
-                            (classes[j].alpha, classes[j].beta))
-    assert len(calls) == 2 * len(classes)
+        assert c.twists == (classes[i].key, classes[j].key)
+    assert [c.twists for c in classes] == oracle
+    assert {name: len(made) for name, made in calls.items()} == want
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_twists_are_the_canonical_a_and_b_images(d):
-    # for every class of every sigma, the property equals the a and b pair
-    # maps canonicalized afresh
+    # for every class of every sigma, the property holds the keys of the a
+    # and b pair maps canonicalized afresh
     for sigma in partitions(d):
         for c in enumerate_classes(d, RamificationProfile.of(d, sigma)):
             assert c.twists == tuple(
-                canonical_pair(*_ORACLE[g](c.alpha, c.beta)) for g in "ab"
+                origami_key(*canonical_pair(*_ORACLE[g](c.alpha, c.beta)))
+                for g in "ab"
             )
 
 
