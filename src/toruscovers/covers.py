@@ -14,7 +14,8 @@ class, and for fixed gamma the solutions form one left coset
 the orbits of C(beta0) acting on alpha by conjugation.
 
 Conjugating by z in C(beta0) carries the coset of gamma onto the coset of
-``z gamma z^-1``, so the walk visits one gamma per C(beta0)-orbit only.
+``z gamma z^-1``, so the walk visits one gamma per C(beta0)-orbit only,
+and tries only gammas on a canonical support (one per C(beta0)-orbit).
 A class meets the coset of that representative in exactly one orbit of
 ``Stab(gamma) = C(beta0) ∩ C(gamma)``, so classes correspond one-to-one
 to pairs (C(beta0)-orbit of gamma, Stab(gamma)-orbit of transitive alphas
@@ -145,7 +146,7 @@ class RamificationProfile:
     @property
     def kappa_factor(self) -> Fraction:
         """d - sum(1/l_i) over all parts, the weight entering the slope."""
-        return self.degree - sum(Fraction(1, l) for l in self.parts)
+        return self.degree - type_weight(self.parts)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(l) for l in self.parts) + ")"
@@ -224,10 +225,11 @@ def origami_key(alpha: Perm, beta: Perm) -> bytes:
     equal sequences exactly when a conjugation carries one onto the other.
     The key is the smallest sequence over the starts where alpha beta and
     beta alpha differ (the support of the commutator alpha^-1 beta^-1
-    alpha beta, which every conjugation respects); a commuting pair starts
-    from every point.  Each sequence is compared with the best so far as
-    it is built and dropped once it is larger.  Labels are below d, so the
-    key is bytes.
+    alpha beta, which every conjugation respects).  A commuting pair starts
+    from 0 alone: it generates a regular abelian group, whose centralizer
+    is transitive, so every start gives the same sequence.  Each sequence
+    is compared with the best so far as it is built and dropped once it is
+    larger.  Labels are below d, so the key is bytes.
 
     >>> from toruscovers.perms import parse_cycles
     >>> alpha, beta = parse_cycles("(1 5)", 5), parse_cycles("(1 2 3 4)", 5)
@@ -240,7 +242,7 @@ def origami_key(alpha: Perm, beta: Perm) -> bytes:
     d = len(alpha)
     if len(beta) != d:
         raise ValueError("degree mismatch")
-    starts = [x for x in range(d) if alpha[beta[x]] != beta[alpha[x]]] or range(d)
+    starts = [x for x in range(d) if alpha[beta[x]] != beta[alpha[x]]] or [0]
     best: list[int] = []
     for start in starts:
         label = [-1] * d
@@ -404,6 +406,8 @@ def period_lattice_index(alpha: Perm, beta: Perm) -> int:
     for i, (ax, ay) in enumerate(defects):
         for bx, by in defects[i + 1 :]:
             index = gcd(index, abs(ax * by - ay * bx))
+            if index == 1:
+                return 1
     if index == 0:
         raise ConsistencyError("period lattice has infinite index")
     return index
@@ -450,9 +454,26 @@ def _coset_reps(
     return reps
 
 
-def _classes_for_type(ctx: _TypeContext, gammas: Sequence[Perm]) -> list[CoverClass]:
-    """Cover classes with beta = ctx.rep whose commutator lies in
-    ``gammas`` (one whole conjugacy class), sorted by alpha."""
+def _canonical_support(mask: int, parts: Partition) -> bool:
+    """Whether ``mask`` (bit x for each moved point x) is the one support in
+    its C(beta0)-orbit, beta0 = type_rep(parts), whose bits on each cycle
+    are their own least rotation and do not increase along cycles of equal
+    length; C(beta0) only rotates cycles and permutes equal ones."""
+    start, last = 0, {}
+    for l in parts:
+        full = (1 << l) - 1
+        m = mask >> start & full
+        rotations = ((m >> r | m << l - r) & full for r in range(1, l))
+        if m > last.get(l, full) or any(r < m for r in rotations):
+            return False
+        start, last[l] = start + l, m
+    return True
+
+
+def _classes_for_type(ctx: _TypeContext, gammas: Iterable[Perm]) -> list[CoverClass]:
+    """Cover classes with beta = ctx.rep whose commutator lies in sigma's
+    class, given by ``gammas``, which meet each of its C(beta0)-orbits,
+    sorted by alpha."""
     beta0 = ctx.rep
     points = range(len(beta0))
     seen_gamma: set[Perm] = set()
@@ -503,8 +524,13 @@ def enumerate_classes(
     out: list[CoverClass] = []
     if not profile.admits_covers:
         return out
-    gammas = tuple(class_elements(profile.parts, degree))
+    by_support: dict[int, list[Perm]] = {}
+    for gamma in class_elements(profile.parts, degree):
+        mask = sum(1 << x for x, y in enumerate(gamma) if x != y)
+        by_support.setdefault(mask, []).append(gamma)
     for parts in partitions(degree):
+        gammas = (g for mask, on in by_support.items()
+                  if _canonical_support(mask, parts) for g in on)
         out.extend(_classes_for_type(_type_context(parts), gammas))
     return out
 

@@ -17,6 +17,7 @@ of order lcm(beta type) / orbit size, giving the orbifold points.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -31,6 +32,7 @@ from .covers import (
     enumerate_classes,
 )
 from .monodromy import OrbitDecomposition, decompose
+from .perms import type_weight
 
 N_DEGENERATE_FIBERS = 12
 
@@ -75,9 +77,9 @@ def component_slope(
     profile: RamificationProfile, members: Sequence[CoverClass]
 ) -> SlopeResult:
     """Slope of a component, or any list of classes, from its count and weights."""
-    N = len(members)
-    M = sum((c.weight for c in members), Fraction(0))
-    return slope_from_counts(profile, N, M)
+    types = Counter(c.beta_type for c in members)
+    M = sum((n * type_weight(t) for t, n in types.items()), Fraction(0))
+    return slope_from_counts(profile, len(members), M)
 
 
 # ---------------------------------------------------------------------------

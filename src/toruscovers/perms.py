@@ -252,8 +252,10 @@ def class_size(parts: Partition) -> int:
     return factorial(d) // denom
 
 
+@lru_cache(maxsize=None)
 def type_weight(parts: Partition) -> Fraction:
-    """Sum of (number of cycles of length l) / l, as an exact rational."""
+    """Sum of (number of cycles of length l) / l, as an exact rational,
+    memoized per partition."""
     out = Fraction(0)
     for l, a in multiplicities(parts).items():
         out += Fraction(a, l)

@@ -27,6 +27,7 @@ from toruscovers.covers import (
     period_lattice_index,
 )
 from toruscovers.perms import (
+    centralizer_elements,
     class_elements,
     commutator,
     compose,
@@ -128,6 +129,37 @@ def test_orbit_walk_matches_raw_coset_walk():
                     expected.extend(sorted(canon))
             got = [(c.alpha, c.beta) for c in enumerate_classes(d, prof)]
             assert got == expected, (d, sigma)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_each_centralizer_orbit_of_supports_has_one_canonical_support(d):
+    # oracle orbits: the images of a support under every element of C(beta0);
+    # every k-subset of the d points, for every k, is some support's mask
+    for parts in partitions(d):
+        cent = list(centralizer_elements(parts))
+        left = set(range(1 << d))
+        while left:
+            mask = left.pop()
+            orbit = {sum(1 << z[x] for x in range(d) if mask >> x & 1) for z in cent}
+            left -= orbit
+            canonical = [m for m in orbit if covers._canonical_support(m, parts)]
+            assert len(canonical) == 1, (parts, sorted(orbit))
+
+
+def test_enumeration_types_gammas_on_canonical_supports_only(monkeypatch):
+    # the gamma filter types one delta per candidate gamma: 82,518 calls when
+    # every gamma of the (5) class was tried for each beta type
+    calls = []
+    original = covers.cycle_type
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(covers, "cycle_type", counted)
+    classes = enumerate_classes(9, RamificationProfile.of(9, "5"))
+    assert len(classes) == 4550
+    assert len(calls) < 10_000
 
 
 def _raw_weighted_counts(d, prof):
@@ -324,6 +356,42 @@ def test_origami_key_splits_pairs_as_canonical_pair_does(d, sigmas):
                             9: 5319}[d]
 
 
+def _every_start_key(alpha, beta):
+    """The breadth-first origami key minimized over every start point."""
+    d = len(alpha)
+    keys = []
+    for start in range(d):
+        label = {start: 0}
+        order = [start]
+        key = []
+        for x in order:
+            for g in (alpha, beta):
+                if g[x] not in label:
+                    label[g[x]] = len(order)
+                    order.append(g[x])
+                key.append(label[g[x]])
+        keys.append(bytes(key))
+    return min(keys)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_commuting_key_from_one_start_matches_every_start(d):
+    # a commuting pair walks from point 0 alone; the oracle walks from all d
+    found = 0
+    for alpha in itertools.permutations(range(d)):
+        parts, t = cycle_layout(alpha)
+        tinv = inverse(t)  # C(alpha) = t^-1 C(type_rep) t
+        for z in centralizer_elements(parts):
+            beta = conjugate(tinv, z)
+            assert compose(alpha, beta) == compose(beta, alpha)
+            if is_transitive((alpha, beta), d):
+                assert origami_key(alpha, beta) == _every_start_key(alpha, beta)
+                found += 1
+    # a transitive commuting pair is a regular action of Z^2 / L, L of index
+    # d, and there are sigma_1(d) such L and (d-1)! pairs for each
+    assert found == factorial(d - 1) * sum(k for k in range(1, d + 1) if d % k == 0)
+
+
 @lru_cache(maxsize=None)
 def _classes_of_sigma(d, sigma):
     return tuple(enumerate_classes(d, RamificationProfile.of(d, sigma)))
@@ -332,7 +400,7 @@ def _classes_of_sigma(d, sigma):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_origami_key_is_relabelling_invariant(data):
-    # trivial sigma included: a commuting pair walks from every start
+    # trivial sigma included: a commuting pair walks from point 0 alone
     d = data.draw(st.integers(1, 7), label="d")
     sigma = data.draw(st.sampled_from(partitions(d)), label="sigma")
     classes = _classes_of_sigma(d, sigma)
@@ -384,6 +452,13 @@ def test_kappa_factor_counts_all_parts():
     # kappa = d - sum 1/l_i over every part, fixed points included
     p = RamificationProfile.of(5, "3")
     assert p.kappa_factor == 5 - (Fraction(1, 3) + 1 + 1)
+
+
+def test_kappa_factor_matches_the_per_part_sum():
+    profiles = [RamificationProfile(p) for d in range(1, 13) for p in partitions(d)]
+    profiles.append(RamificationProfile.of(10_007, "5"))
+    for p in profiles:
+        assert p.kappa_factor == p.degree - sum(Fraction(1, l) for l in p.parts)
 
 
 def test_class_invariants_under_action_input_order():

@@ -66,6 +66,18 @@ def test_component_slope_splits_the_genus_three_case():
     }
 
 
+@pytest.mark.parametrize("d,sigma", [(5, "5"), (7, "3"), (7, "2,2")])
+def test_component_slope_sums_the_class_weights(d, sigma):
+    # M summed per beta type equals M summed class by class
+    prof = RamificationProfile.of(d, sigma)
+    classes = enumerate_classes(d, prof)
+    for comp in (*decompose(d, prof, classes).components, range(len(classes))):
+        members = [classes[i] for i in comp]
+        s = component_slope(prof, members)
+        assert s.N == len(members)
+        assert s.M == sum((c.weight for c in members), Fraction(0))
+
+
 def test_genus_from_orbits_riemann_hurwitz():
     # 2g - 2 = -2N + 12 * sum (orbit - 1)
     assert genus_from_orbits(3, [[0, 1], [2]]) == 4

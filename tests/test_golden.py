@@ -52,6 +52,7 @@ _PER_FORMAT = [
 ]
 
 _SINGLE = [
+    ["enumerate", "--d", "9", "--sigma", "5", "--format", "csv"],  # 4,550 classes
     ["sweep", "--d-range", "3..7", "--sigma", "3", "--genus"],
     ["sweep", "--d-range", "4..7", "--sigma", "2,2", "--genus", "--format", "json"],
     ["sweep", "--d-range", "3..7", "--sigma", "3", "--genus", "--format", "csv"],

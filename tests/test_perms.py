@@ -129,6 +129,8 @@ def test_type_weight():
     assert type_weight((3,)) == Fraction(1, 3)
     assert type_weight((2, 1)) == Fraction(1, 2) + 1
     assert type_weight((2, 2, 1)) == Fraction(2)
+    # memoized per partition
+    assert type_weight((3, 1, 1)) is type_weight((3, 1, 1))
 
 
 def test_is_prime_matches_the_sieve():
