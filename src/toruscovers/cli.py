@@ -226,10 +226,10 @@ def _csv_text(payload) -> str:
 
 
 def _parse_d_list(args) -> list[int]:
-    """The degrees of --d or --d-range.  The top one is held to the
-    enumeration bound that each row's enumeration applies before the
-    list is built."""
-    if getattr(args, "d_range", None):
+    """The degrees of --d or --d-range.  The top one is held to
+    --max-degree, the bound that each row's enumeration applies, before
+    the list is built."""
+    if args.d_range:
         try:
             lo, hi = (int(x) for x in args.d_range.split(".."))
             if not 1 <= lo <= hi:
@@ -238,14 +238,14 @@ def _parse_d_list(args) -> list[int]:
             raise SystemExit(_fail(
                 EXIT_INVALID, f"bad --d-range {args.d_range!r}; want a..b, 1 <= a <= b"
             ))
-    elif getattr(args, "d", None) is not None:
+    elif args.d is not None:
         _at_least("--d", args.d, 1)
         lo = hi = args.d
     else:
         raise SystemExit(_fail(EXIT_INVALID, "need --d or --d-range"))
-    check_capacity(hi, DEFAULT_MAX_DEGREE)
+    check_capacity(hi, args.max_degree)
     ds = list(range(lo, hi + 1))
-    if getattr(args, "primes_only", False):
+    if args.primes_only:
         ds = [d for d in ds if formulas.is_prime(d)]
         if not ds:
             raise SystemExit(_fail(EXIT_INVALID, "--primes-only leaves no degree"))
@@ -615,14 +615,14 @@ def cmd_verify(args) -> int:
 # sweep and probe
 
 
-def _sweep_row(d: int, sigma: str, with_genus: bool) -> dict:
+def _sweep_row(d: int, sigma: str, with_genus: bool, max_degree: int) -> dict:
     try:
         prof = RamificationProfile.of(d, sigma)
     except ValueError:
         return {"d": d, "sigma": sigma, "N": 0, "note": "sigma does not fit"}
     if not prof.admits_covers:
         return {"d": d, "sigma": sigma, "N": 0, "note": "odd branching parity"}
-    classes = enumerate_classes(d, prof)
+    classes = enumerate_classes(d, prof, max_degree=max_degree)
     s = component_slope(prof, classes)
     row = {
         "d": d,
@@ -665,7 +665,7 @@ def cmd_sweep(args) -> int:
     for d in ds:
         row, hit = _cached(cache, _cache_key(kind, d, sigma),
                            lambda row: _sweep_row_ok(row, args.genus),
-                           lambda: _sweep_row(d, sigma, args.genus))
+                           lambda: _sweep_row(d, sigma, args.genus, args.max_degree))
         rows.append(row)
         cached += hit
     order = ("d", "sigma", "N", "M", "slope", "genus", "note")
@@ -755,6 +755,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=formats, default=default)
         sp.add_argument("--output", help="write to file instead of stdout")
 
+    def max_degree(sp):
+        sp.add_argument(
+            "--max-degree", type=int, default=DEFAULT_MAX_DEGREE,
+            help="enumeration safety bound (default %(default)s)",
+        )
+
     def common(sp):
         sp.add_argument("--d", type=int, required=True, help="cover degree")
         sp.add_argument(
@@ -764,14 +770,11 @@ def build_parser() -> argparse.ArgumentParser:
             "(short form; 1s are implied)",
         )
         output(sp)
-        sp.add_argument(
-            "--max-degree", type=int, default=DEFAULT_MAX_DEGREE,
-            help="enumeration safety bound (default %(default)s)",
-        )
+        max_degree(sp)
 
     sp = sub.add_parser("enumerate", help="list all cover classes")
     common(sp)
-    sp.set_defaults(func=cmd_enumerate)
+    sp.set_defaults(handler="cmd_enumerate")
 
     sp = sub.add_parser("counts", help="per-type counts, N, M, slope")
     common(sp)
@@ -779,29 +782,29 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("brute", "burnside", "formula"), default="brute"
     )
     sp.add_argument("--cache-dir")
-    sp.set_defaults(func=cmd_counts)
+    sp.set_defaults(handler="cmd_counts")
 
     sp = sub.add_parser("slope", help="slope and its ingredients")
     common(sp)
-    sp.set_defaults(func=cmd_slope)
+    sp.set_defaults(handler="cmd_slope")
 
     sp = sub.add_parser("components", help="monodromy components")
     common(sp)
     sp.add_argument("--genus", type=int, help="assert the cover genus")
-    sp.set_defaults(func=cmd_components)
+    sp.set_defaults(handler="cmd_components")
 
     sp = sub.add_parser("genus", help="orbit-based genus, chi, closed forms")
     common(sp)
-    sp.set_defaults(func=cmd_genus)
+    sp.set_defaults(handler="cmd_genus")
 
     sp = sub.add_parser("orbifold", help="orbifold points and chi")
     common(sp)
-    sp.set_defaults(func=cmd_orbifold)
+    sp.set_defaults(handler="cmd_orbifold")
 
     sp = sub.add_parser("characters", help="character table of S_d")
     sp.add_argument("--d", type=int, required=True)
     output(sp, ("json", "csv"), "csv")
-    sp.set_defaults(func=cmd_characters)
+    sp.set_defaults(handler="cmd_characters")
 
     sp = sub.add_parser(
         "genfun-check", help="exp/log identity between cover series"
@@ -810,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dump", action="store_true",
                     help="include all coefficients in the output")
     output(sp, ("json", "table"))
-    sp.set_defaults(func=cmd_genfun_check)
+    sp.set_defaults(handler="cmd_genfun_check")
 
     sp = sub.add_parser("verify", help="dual-path verification bundles")
     sp.add_argument("--family", choices=formulas.FAMILIES)
@@ -820,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--slope10", action="store_true")
     sp.add_argument("--components", action="store_true")
     sp.add_argument("--origami", action="store_true")
-    sp.set_defaults(func=cmd_verify)
+    sp.set_defaults(handler="cmd_verify")
 
     sp = sub.add_parser("sweep", help="N/M/slope over a degree range")
     degrees = sp.add_mutually_exclusive_group()
@@ -831,12 +834,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--genus", action="store_true", help="include genus")
     sp.add_argument("--cache-dir")
     output(sp)
-    sp.set_defaults(func=cmd_sweep)
+    max_degree(sp)
+    sp.set_defaults(handler="cmd_sweep")
 
     sp = sub.add_parser("probe-g3", help="slope table for the g=3 family")
     sp.add_argument("--max-prime", type=int, default=formulas.MAX_CLOSED_FORM_DEGREE)
     output(sp)
-    sp.set_defaults(func=cmd_probe_g3)
+    sp.set_defaults(handler="cmd_probe_g3")
 
     sp = sub.add_parser("origami", help="square-tiled surface tools")
     osub = sp.add_subparsers(dest="origami_command", required=True)
@@ -849,15 +853,30 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--beta", help="explicit h permutation, cycle notation")
     output(rp, ("ascii", "svg"), "ascii")
     rp.add_argument("--mark-weierstrass", action="store_true")
-    rp.set_defaults(func=cmd_origami_render)
+    rp.set_defaults(handler="cmd_origami_render")
 
     return p
 
 
+_parser: Optional[tuple[tuple[int, int], argparse.ArgumentParser]] = None
+
+
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser that ``main`` reuses, built on its first call and again
+    only when a bound constant that the defaults show has changed."""
+    global _parser
+    bounds = (DEFAULT_MAX_DEGREE, formulas.MAX_CLOSED_FORM_DEGREE)
+    if _parser is None or _parser[0] != bounds:
+        _parser = (bounds, build_parser())
+    return _parser[1]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # handlers are named, not captured, so the reused parser runs the
+        # module's current one
+        return globals()[args.handler](args)
     except CapacityError as e:
         return _fail(EXIT_CAPACITY, str(e))
     except CacheError as e:

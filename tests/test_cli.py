@@ -271,6 +271,67 @@ def test_parser_defaults_read_the_bound_constants(capsys, monkeypatch):
     assert "enumeration safety bound (default 7)" in capsys.readouterr().out
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    build_parser, built = cli.build_parser, []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    calls = [
+        (["enumerate", "--d", "3", "--sigma", "3"], 0),
+        (["counts", "--d", "4", "--sigma", "3"], 0),
+        (["counts", "--d", "5", "--sigma", "3", "--method", "formula"], 0),
+        (["slope", "--d", "4", "--sigma", "2,2"], 0),
+        (["components", "--d", "4", "--sigma", "3"], 0),
+        (["genus", "--d", "4", "--sigma", "3"], 0),
+        (["orbifold", "--d", "4", "--sigma", "3"], 0),
+        (["characters", "--d", "4"], 0),
+        (["genfun-check", "--d-max", "3"], 0),
+        (["verify", "--dejonquieres"], 0),
+        (["sweep", "--d-range", "3..4", "--sigma", "3"], 0),
+        (["probe-g3", "--max-prime", "11"], 0),
+        (["origami", "render", "--d", "3", "--alpha", "(1 2 3)", "--beta", "(1 2)"], 0),
+        (["origami", "render", "--d", "3", "--sigma", "3"], 0),
+        (["enumerate", "--help"], 0),
+        (["counts", "--d", "4", "--sigma", "x"], 2),
+        (["slope", "--d", "4"], 2),
+        (["nosuch"], 2),
+        (["enumerate", "--d", "11", "--sigma", "3"], 3),
+        (["--help"], 0),
+    ]
+    assert [run(argv, capsys)[0] for argv, _ in calls] == [code for _, code in calls]
+    assert len(built) == 1
+
+
+def test_main_runs_a_handler_patched_after_its_parser_was_built(capsys, monkeypatch):
+    assert run(["slope", "--d", "3", "--sigma", "3"], capsys)[0] == 0
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_slope", broken)
+    code, out, err = run(["slope", "--d", "3", "--sigma", "3"], capsys)
+    assert (code, out, err) == (5, "", "error: internal: RuntimeError: boom\n")
+
+
+def test_main_defaults_follow_bound_constants_patched_after_its_parser_was_built(
+    capsys, monkeypatch
+):
+    assert run(["enumerate", "--help"], capsys)[1].count("(default 9)") == 1
+    monkeypatch.setattr(cli, "DEFAULT_MAX_DEGREE", 7)
+    code, out, _ = run(["enumerate", "--help"], capsys)
+    assert code == 0 and "enumeration safety bound (default 7)" in out
+    code, out, err = run(["counts", "--d", "8", "--sigma", "3"], capsys)
+    assert (code, out) == (3, "") and "bound 7" in err
+    monkeypatch.setattr(formulas, "MAX_CLOSED_FORM_DEGREE", 61)
+    code, out, _ = run(["probe-g3"], capsys)
+    assert (code, out) == (0, run(["probe-g3", "--max-prime", "61"], capsys)[1])
+    assert out.splitlines()[-2].startswith("d=  61 ")
+
+
 def test_invalid_sigma_exit_code(capsys):
     code, _, err = run(["counts", "--d", "5", "--sigma", "x"], capsys)
     assert code == 2
@@ -407,6 +468,36 @@ def test_sweep_takes_either_d_or_d_range(capsys):
     )
     assert code == 2 and out == ""
     assert "not allowed with argument --d" in err
+
+
+def _recording_bounds(monkeypatch) -> list:
+    """The (degree, max_degree) of each enumeration the CLI starts."""
+    enumerate_classes, bounds = covers.enumerate_classes, []
+
+    def recording(degree, profile, max_degree=covers.DEFAULT_MAX_DEGREE):
+        bounds.append((degree, max_degree))
+        return enumerate_classes(degree, profile, max_degree)
+
+    monkeypatch.setattr(cli, "enumerate_classes", recording)
+    return bounds
+
+
+def test_sweep_past_max_degree_is_exit_3_before_any_enumeration(capsys, monkeypatch):
+    bounds = _recording_bounds(monkeypatch)
+    argv = ["sweep", "--d", "9", "--sigma", "3", "--max-degree", "8"]
+    code, out, err = run(argv, capsys)
+    assert (code, out, bounds) == (3, "", [])
+    assert err == "error: enumeration degree 9 exceeds its bound 8\n"
+
+
+def test_sweep_enumerates_under_max_degree(capsys, monkeypatch):
+    bounds = _recording_bounds(monkeypatch)
+    argv = ["sweep", "--d", "10", "--sigma", "2", "--max-degree", "10"]
+    code, out, _ = run(argv, capsys)
+    assert (code, out) == (0, "d=10  sigma=2  N=0  note=odd branching parity\n")
+    argv = ["sweep", "--d-range", "3..4", "--sigma", "3", "--max-degree", "5"]
+    assert run(argv, capsys)[0] == 0
+    assert bounds == [(3, 5), (4, 5)]
 
 
 def test_sweep_with_genus_enumerates_each_degree_once(capsys, monkeypatch):

@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -76,6 +77,15 @@ _SINGLE = [
     ["probe-g3", "--max-prime", "61", "--format", "csv"],
 ]
 
+# the --help text of the top level, each subcommand and origami render;
+# argparse wraps it to the terminal width, so these run with COLUMNS=80
+_HELP = [
+    [*command.split(), "--help"]
+    for command in ("", "enumerate", "counts", "slope", "components", "genus",
+                    "orbifold", "characters", "genfun-check", "verify", "sweep",
+                    "probe-g3", "origami", "origami render")
+]
+
 # (d, sigma) for the library part
 _LIBRARY = [(5, "3"), (5, "2,2"), (5, "5"), (6, "3"), (6, "2,2")]
 
@@ -104,7 +114,10 @@ def run_cli(argv: list[str]) -> dict:
 
 
 def cli_digests() -> dict[str, dict]:
-    return {" ".join(argv): run_cli(argv) for argv in cli_cases()}
+    digests = {" ".join(argv): run_cli(argv) for argv in cli_cases()}
+    with mock.patch.dict("os.environ", {"COLUMNS": "80"}):
+        digests.update({" ".join(argv): run_cli(argv) for argv in _HELP})
+    return digests
 
 
 def library_digests() -> dict[str, str]:
