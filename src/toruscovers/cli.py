@@ -704,6 +704,7 @@ def cmd_probe_g3(args) -> int:
 
 
 def cmd_origami_render(args) -> int:
+    _at_least("--d", args.d, 1)
     if args.alpha and args.beta:
         # a connected surface of degree >= 2 moves every square, and the
         # two strings name at most as many squares as they have characters
@@ -727,7 +728,7 @@ def cmd_origami_render(args) -> int:
         surface = origami.SquareTiledSurface.from_pair(classes[args.index])
     doc = origami.render(surface, format=args.format)
     if args.mark_weierstrass:
-        parity = origami.weierstrass_parity(surface.to_pair())
+        parity = origami.weierstrass_parity(CoverClass(surface.v, surface.h))
         note = f"integer Weierstrass points: {parity}"
         if args.format == "svg":
             doc = doc.replace(

@@ -231,6 +231,12 @@ def origami_key(alpha: Perm, beta: Perm) -> bytes:
     is compared with the best so far as it is built and dropped once it is
     larger.  Labels are below d, so the key is bytes.
 
+    The starts that give the key also count the automorphisms of the
+    pair: these act freely on the points (one fixing a point of a
+    transitive pair fixes all) and carry the commutator support onto
+    itself, one start onto another exactly when both give one sequence,
+    so the starts that give the key form one orbit of them.
+
     >>> from toruscovers.perms import parse_cycles
     >>> alpha, beta = parse_cycles("(1 5)", 5), parse_cycles("(1 2 3 4)", 5)
     >>> t = parse_cycles("(1 4 2)(3 5)", 5)
@@ -239,12 +245,19 @@ def origami_key(alpha: Perm, beta: Perm) -> bytes:
     >>> list(origami_key(alpha, beta))
     [0, 1, 2, 3, 1, 2, 3, 4, 4, 0]
     """
+    return _key_walk(alpha, beta)[0]
+
+
+def _key_walk(alpha: Perm, beta: Perm) -> tuple[bytes, int]:
+    """:func:`origami_key` and the number of automorphisms of the pair
+    (d for a commuting pair, whose regular group is its own centralizer)."""
     d = len(alpha)
     if len(beta) != d:
         raise ValueError("degree mismatch")
-    starts = [x for x in range(d) if alpha[beta[x]] != beta[alpha[x]]] or [0]
+    starts = [x for x in range(d) if alpha[beta[x]] != beta[alpha[x]]]
     best: list[int] = []
-    for start in starts:
+    ties = 0
+    for start in starts or [0]:
         label = [-1] * d
         label[start] = 0
         order = [start]
@@ -276,9 +289,11 @@ def origami_key(alpha: Perm, beta: Perm) -> bytes:
                     i += 2
         else:
             if len(order) < d:
-                raise ValueError("pair is not transitive; origami key undefined")
-            best = key
-    return bytes(best)
+                raise ValueError("pair is not transitive")
+            if i < 0:  # below best, else equal to it all the way
+                best, ties = key, 0
+            ties += 1
+    return bytes(best), ties if starts else d
 
 
 # ---------------------------------------------------------------------------
@@ -332,29 +347,10 @@ class CoverClass:
 
     @cached_property
     def stabilizer_order(self) -> int:
-        """Number of simultaneous self-conjugations z of the pair.  The pair
-        is transitive, so z is fixed by z(0): count the points p for which
-        0 -> p extends consistently along alpha and beta."""
-        d = self.degree
-        gens = (self.alpha, self.beta)
-        order = orbit_of(0, gens)
-        if len(order) != d:
-            raise ValueError("pair is not transitive; automorphisms undefined")
-        # in breadth-first order every edge leaves a point already reached
-        edges = [(g, x, g[x]) for x in order for g in gens]
-        count = 0
-        for p in range(d):
-            z = [-1] * d
-            z[0] = p
-            for g, x, y in edges:
-                if z[y] < 0:
-                    z[y] = g[z[x]]
-                elif z[y] != g[z[x]]:
-                    break
-            else:
-                count += 1
-        ctx = _type_context(self.beta_type)
-        if ctx.order % count:
+        """Number of simultaneous self-conjugations z of the pair, counted
+        by the walk of its :func:`origami_key`."""
+        count = _key_walk(self.alpha, self.beta)[1]
+        if centralizer_order(self.beta_type) % count:
             raise ConsistencyError("stabilizer order does not divide centralizer order")
         return count
 

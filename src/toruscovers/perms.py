@@ -245,11 +245,7 @@ def class_size(parts: Partition) -> int:
     >>> class_size((2, 1, 1, 1))
     10
     """
-    d = sum(parts)
-    denom = 1
-    for l, a in multiplicities(parts).items():
-        denom *= l**a * factorial(a)
-    return factorial(d) // denom
+    return factorial(sum(parts)) // centralizer_order(parts)
 
 
 @lru_cache(maxsize=None)

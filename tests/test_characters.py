@@ -195,6 +195,17 @@ def test_series_exp_log_round_trip():
     assert series_log(w, 4) == z
 
 
+def test_exp_identity_through_degree_eight():
+    # the character sums against the 1/|Aut| class counts at every d <= 8,
+    # composite degrees where branched classes have automorphisms included
+    zhat, ztilde = build_generating_functions(8)
+    assert series_exp(dict(ztilde.coeffs), 8) == dict(zhat.coeffs)
+    assert any(
+        v.denominator > 1 for (parts, k), v in ztilde.coeffs.items()
+        if k and sum(parts) == 8
+    )
+
+
 def test_connected_coefficients_are_weighted_counts():
     _, ztilde = build_generating_functions(5)
     for (parts, k), coeff in ztilde.coeffs.items():

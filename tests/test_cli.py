@@ -744,8 +744,12 @@ def test_cache_value_of_wrong_shape_is_a_miss(tmp_path, capsys):
         (["probe-g3", "--max-prime", "-5"], "--max-prime"),
         (["sweep", "--d-range", "5..3", "--sigma", "3"], "--d-range"),
         (["enumerate", "--d", "-2", "--sigma", "3"], "--d"),
+        (["origami", "render", "--d", "0", "--alpha", "()", "--beta", "()"], "--d"),
+        (["origami", "render", "--d", "0", "--alpha", "()", "--beta", "()",
+          "--format", "svg"], "--d"),
     ],
-    ids=["characters", "genfun-check", "probe-g3", "sweep", "enumerate"],
+    ids=["characters", "genfun-check", "probe-g3", "sweep", "enumerate",
+         "origami-render", "origami-render-svg"],
 )
 def test_empty_or_non_positive_range_is_exit_2(argv, option, capsys):
     code, out, err = run(argv, capsys)

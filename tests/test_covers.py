@@ -258,8 +258,8 @@ def _oracle_classes(d, sigmas):
 
 @pytest.mark.parametrize("d,sigmas", ORACLE_SETS, ids=ORACLE_IDS)
 def test_stabilizer_order_matches_centralizer_scan(d, sigmas):
-    # automorphisms counted from the image of one point against the scan
-    # of C(beta0)
+    # automorphisms counted as the starts that give the origami key against
+    # the scan of C(beta0)
     for c in _oracle_classes(d, sigmas):
         assert c.stabilizer_order == _scanned_stabilizer_order(c), str(c)
 
@@ -376,7 +376,8 @@ def _every_start_key(alpha, beta):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_commuting_key_from_one_start_matches_every_start(d):
-    # a commuting pair walks from point 0 alone; the oracle walks from all d
+    # a commuting pair walks from point 0 alone; the oracle walks from all d.
+    # Its group is regular abelian, its own centralizer: d automorphisms
     found = 0
     for alpha in itertools.permutations(range(d)):
         parts, t = cycle_layout(alpha)
@@ -386,6 +387,7 @@ def test_commuting_key_from_one_start_matches_every_start(d):
             assert compose(alpha, beta) == compose(beta, alpha)
             if is_transitive((alpha, beta), d):
                 assert origami_key(alpha, beta) == _every_start_key(alpha, beta)
+                assert CoverClass(alpha, beta).stabilizer_order == d
                 found += 1
     # a transitive commuting pair is a regular action of Z^2 / L, L of index
     # d, and there are sigma_1(d) such L and (d-1)! pairs for each
