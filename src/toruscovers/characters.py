@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 from .covers import RamificationProfile, aut_weighted_counts, check_capacity
 from .perms import (
     Partition,
+    as_partition,
     class_elements,
     class_size,
     compose,
@@ -86,12 +87,9 @@ def character_value(shape: Sequence[int], cls: Sequence[int]) -> int:
     >>> character_value([2, 1], [1, 1, 1])
     2
     """
-    s = tuple(sorted((int(p) for p in shape), reverse=True))
-    c = tuple(sorted((int(p) for p in cls), reverse=True))
+    s, c = as_partition(shape), as_partition(cls)
     if sum(s) != sum(c):
         raise ValueError(f"shape {shape} and class {cls} have different sizes")
-    if any(p < 1 for p in s + c):
-        raise ValueError("partition parts must be positive")
     return _mn(_abacus(s, sum(s)), c)
 
 
@@ -103,7 +101,7 @@ def character_degree(shape: Sequence[int]) -> int:
     >>> character_degree([4])
     1
     """
-    s = tuple(sorted((int(p) for p in shape), reverse=True))
+    s = as_partition(shape)
     d = sum(s)
     conj = [sum(1 for p in s if p > j) for j in range(s[0])] if s else []
     product = 1
@@ -193,18 +191,16 @@ def disconnected_count(
     keep g*beta0 in beta's class, which scales with the tau class size
     instead of the number of irreducibles.
     """
-    p = tuple(sorted((int(x) for x in parts), reverse=True))
-    if sum(p) != degree:
-        raise ValueError(f"{parts} is not a partition of {degree}")
+    p = as_partition(parts, degree)
     tau = tau_type(degree, k)
     if method == "characters":
         total = Fraction(0)
         for shape in partitions(degree):
-            chi_p = character_value(shape, p)
+            mask = _abacus(shape, degree)
+            chi_p = _mn(mask, p)
             if chi_p:
                 total += Fraction(
-                    chi_p * chi_p * character_value(shape, tau),
-                    character_degree(shape),
+                    chi_p * chi_p * _mn(mask, tau), character_degree(shape)
                 )
         total *= class_size(p) * class_size(tau)
         if total.denominator != 1:

@@ -37,7 +37,7 @@ from .geometry import (
     slope_from_counts,
 )
 from .monodromy import decompose
-from .perms import commutator, cycle_string, parse_cycles
+from .perms import as_partition, commutator, cycle_string, parse_cycles
 
 EXIT_VERIFY = 1
 EXIT_INVALID = 2
@@ -648,9 +648,7 @@ def _short_sigma(text: str) -> str:
     """The short_spec of a sigma text, the one spelling that sweep prints
     and caches under.  Raises ValueError on text that names no profile;
     whether it fits a degree is checked per row."""
-    tokens = text.replace(",", " ").split()
-    # one fixed point more than the parts need, so "" and "1" fit too
-    return RamificationProfile.of(sum(map(int, tokens)) + 1, tokens).short_spec
+    return RamificationProfile(as_partition(text) or (1,)).short_spec
 
 
 def cmd_sweep(args) -> int:

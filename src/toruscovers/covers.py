@@ -33,6 +33,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .perms import (
     Partition,
     Perm,
+    as_partition,
     centralizer_elements,
     centralizer_order,
     class_elements,
@@ -89,31 +90,19 @@ class RamificationProfile:
     parts: Partition
 
     def __post_init__(self) -> None:
-        if not self.parts or any(l < 1 for l in self.parts):
-            raise ValueError("profile parts must be positive")
-        if tuple(sorted(self.parts, reverse=True)) != self.parts:
+        if not self.parts:
+            raise ValueError("profile has no parts")
+        if as_partition(self.parts) != self.parts:
             raise ValueError("profile parts must be sorted descending")
 
     @classmethod
     def of(cls, degree: int, spec: "str | Sequence[int]") -> "RamificationProfile":
-        """Build a profile for S_degree, padding with fixed points.
-
-        ``spec`` is either an iterable of parts or a string like ``"3"``,
-        ``"2,2"`` or ``"3,1,1"``; parts summing to less than the degree
-        are padded with 1s.
-        """
-        if isinstance(spec, str):
-            tokens = [t for t in spec.replace(",", " ").split() if t]
-            parts = [int(t) for t in tokens]
-        else:
-            parts = [int(x) for x in spec]
-        if any(p < 1 for p in parts):
-            raise ValueError("profile parts must be positive")
-        total = sum(parts)
-        if total > degree:
-            raise ValueError(f"profile {parts} exceeds degree {degree}")
-        parts.extend([1] * (degree - total))
-        return cls(tuple(sorted(parts, reverse=True)))
+        """Build a profile for S_degree from the parts of ``spec``, read by
+        :func:`as_partition` and padded with 1s up to the degree."""
+        parts = as_partition(spec)
+        if sum(parts) > degree:
+            raise ValueError(f"profile {list(parts)} exceeds degree {degree}")
+        return cls(parts + (1,) * (degree - sum(parts)))
 
     @property
     def degree(self) -> int:
@@ -252,6 +241,8 @@ def _key_walk(alpha: Perm, beta: Perm) -> tuple[bytes, int]:
     """:func:`origami_key` and the number of automorphisms of the pair
     (d for a commuting pair, whose regular group is its own centralizer)."""
     d = len(alpha)
+    if d == 0:
+        raise ValueError("empty permutation")
     if len(beta) != d:
         raise ValueError("degree mismatch")
     starts = [x for x in range(d) if alpha[beta[x]] != beta[alpha[x]]]

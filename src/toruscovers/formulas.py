@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .covers import RamificationProfile, check_capacity
 from .geometry import slope_from_counts
-from .perms import Partition, is_prime, multiplicities, partitions
+from .perms import Partition, as_partition, is_prime, multiplicities, partitions
 
 Sizes = Sequence[tuple[int, int]]  # (size, multiplicity) pairs, sizes descending
 
@@ -62,7 +62,7 @@ def family_sigma(family: str) -> str:
 
 def family_min_degree(family: str) -> int:
     """Smallest degree the family's sigma fits: the sum of its parts."""
-    return sum(map(int, family_sigma(family).split(",")))
+    return sum(as_partition(family_sigma(family)))
 
 
 def family_of(profile: RamificationProfile) -> Optional[str]:
@@ -249,13 +249,6 @@ class UnclassifiedTypeError(ValueError):
     """The family's case analysis does not cover this beta type."""
 
 
-def _normalize_type(degree: int, beta_type: Sequence[int]) -> Partition:
-    parts = tuple(sorted((int(p) for p in beta_type), reverse=True))
-    if any(p < 1 for p in parts) or sum(parts) != degree:
-        raise ValueError(f"{beta_type} is not a partition of {degree}")
-    return parts
-
-
 def _count_sizes(degree: int, family: str, sizes: Sizes) -> int:
     """The family's case analysis, on a beta type given as Sizes."""
     if len(sizes) == 1:
@@ -299,7 +292,7 @@ def per_type_N(degree: int, family: str, beta_type: Sequence[int]) -> int:
     never mentions (four or more distinct sizes) raise
     UnclassifiedTypeError."""
     _check_family_degree(degree, family)
-    parts = _normalize_type(degree, beta_type)
+    parts = as_partition(beta_type, degree)
     return _count_sizes(degree, family, tuple(multiplicities(parts).items()))
 
 
@@ -514,10 +507,8 @@ def dejonquieres(genus: int, mu: Sequence[int]) -> int:
     >>> dejonquieres(3, [2, 2])
     28
     """
-    parts = tuple(sorted((int(p) for p in mu), reverse=True))
-    if len(parts) != genus - 1 or sum(parts) != 2 * genus - 2 or any(
-        p < 1 for p in parts
-    ):
+    parts = as_partition(mu, 2 * genus - 2)
+    if len(parts) != genus - 1:
         raise ValueError(
             f"{mu} is not a partition of {2 * genus - 2} into {genus - 1} parts"
         )

@@ -50,6 +50,8 @@ class SquareTiledSurface:
     def __post_init__(self):
         if len(self.v) != len(self.h):
             raise ValueError("v and h must have the same degree")
+        if not self.h:
+            raise ValueError("a surface needs at least one square")
         if not is_transitive([self.v, self.h], len(self.v)):
             raise ValueError("surface is not connected")
 

@@ -8,7 +8,7 @@ right-factor-first: ``compose(p, q)`` applies ``q`` first, then ``p``, so
 
 Cycle types double as integer partitions (tuples sorted descending), and
 the partition helpers here are shared by the counting and character
-modules.
+modules; :func:`as_partition` reads every partition a caller passes.
 """
 from __future__ import annotations
 
@@ -226,6 +226,26 @@ def _partitions_cached(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
+def as_partition(spec: str | Iterable[int], degree: Optional[int] = None) -> Partition:
+    """The parts of a caller's partition, as integers, descending.
+
+    ``spec`` is a sequence of parts or a spelling like ``"3"``, ``"2,2"``
+    or ``"3 1 1"``.  Raises ValueError on a part below 1 and, when
+    ``degree`` is given, on parts that do not sum to it.
+
+    >>> as_partition("1, 3 1"), as_partition([2, 2], 4)
+    ((3, 1, 1), (2, 2))
+    """
+    if isinstance(spec, str):
+        spec = spec.replace(",", " ").split()
+    parts = tuple(sorted(map(int, spec), reverse=True))
+    if parts and parts[-1] < 1:
+        raise ValueError("partition parts must be positive")
+    if degree is not None and sum(parts) != degree:
+        raise ValueError(f"{list(parts)} is not a partition of {degree}")
+    return parts
+
+
 def multiplicities(parts: Partition) -> dict[int, int]:
     """Map cycle length -> number of cycles, in order of first appearance."""
     out: dict[int, int] = {}
@@ -278,10 +298,8 @@ def class_elements(parts: Partition, degree: Optional[int] = None) -> Iterator[P
     each permutation has a unique construction path; trying each distinct
     remaining length once avoids duplicates among equal-length cycles.
     """
-    d = degree if degree is not None else sum(parts)
-    if sum(parts) != d:
-        raise ValueError("parts must sum to the degree")
-    lengths = tuple(sorted(parts, reverse=True))
+    lengths = as_partition(parts, degree)
+    d = sum(lengths)
     acc: list[tuple[int, ...]] = []
 
     def rec(remaining: tuple[int, ...], free: list[int]):

@@ -144,6 +144,28 @@ def test_character_table_csv():
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: disconnected_count(2, 0, [2, 0], method="convolution"),
+        lambda: disconnected_count(2, 0, [2, 0], method="characters"),
+        lambda: disconnected_count(3, 0, [4, -1], method="convolution"),
+        lambda: disconnected_count(3, 0, [4, -1], method="characters"),
+        lambda: disconnected_count(4, 0, [3], method="convolution"),
+        lambda: character_degree([0]),
+        lambda: character_degree([2, -1]),
+        lambda: character_value([2, 0], [2]),
+    ],
+    ids=["zero-part-convolution", "zero-part-characters",
+         "negative-part-convolution", "negative-part-characters",
+         "short-parts", "degree-zero-part", "degree-negative-part",
+         "value-zero-part"],
+)
+def test_malformed_partitions_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_tau_type():
     assert tau_type(6, 2) == (2, 2, 1, 1)
     assert tau_type(6, 0) == (1,) * 6

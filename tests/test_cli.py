@@ -336,6 +336,12 @@ def test_invalid_sigma_exit_code(capsys):
     code, _, err = run(["counts", "--d", "5", "--sigma", "x"], capsys)
     assert code == 2
     assert "sigma" in err
+    # a part below 1, read by perms.as_partition for both commands
+    for argv in (["counts", "--d", "5", "--sigma", "3,0"],
+                 ["sweep", "--d", "5", "--sigma", "0"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: invalid sigma: partition parts must be positive\n"
 
 
 def test_capacity_exit_code(capsys):

@@ -425,6 +425,12 @@ def test_origami_key_errors():
         origami_key(a, parse_cycles("(3 4)", 4))
     with pytest.raises(ValueError, match="not transitive"):
         CoverClass(a, a).key
+    with pytest.raises(ValueError, match="empty permutation"):
+        origami_key((), ())
+    with pytest.raises(ValueError, match="empty permutation"):
+        CoverClass((), ()).key
+    with pytest.raises(ValueError, match="empty permutation"):
+        CoverClass((), ()).stabilizer_order
 
 
 def test_profile_parsing():

@@ -21,6 +21,7 @@ if __name__ == "__main__":
 
 from toruscovers import cli, geometry, monodromy, origami
 from toruscovers.covers import RamificationProfile, enumerate_classes
+from toruscovers.perms import partitions
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -89,6 +90,10 @@ _HELP = [
 # (d, sigma) for the library part
 _LIBRARY = [(5, "3"), (5, "2,2"), (5, "5"), (6, "3"), (6, "2,2")]
 
+# every class list up to this degree is pinned class for class: 66 lists
+# of 39,391 classes in all
+_CLASS_LIST_DEGREE = 8
+
 
 def cli_cases() -> list[list[str]]:
     cases = []
@@ -121,7 +126,8 @@ def cli_digests() -> dict[str, dict]:
 
 
 def library_digests() -> dict[str, str]:
-    """Digest of each library query, keyed by query and (d, sigma)."""
+    """Digest of each library query, keyed by query and (d, sigma), and
+    of every class list at each degree up to _CLASS_LIST_DEGREE."""
     out = {}
     for d, sigma in _LIBRARY:
         prof = RamificationProfile.of(d, sigma)
@@ -133,6 +139,10 @@ def library_digests() -> dict[str, str]:
         out[f"involution_pairs {tag}"] = json.dumps(
             monodromy.involution_pairs(classes))
         out[f"ur_orbits {tag}"] = json.dumps(origami.ur_orbits(classes))
+    for d in range(1, _CLASS_LIST_DEGREE + 1):
+        profiles = map(RamificationProfile, partitions(d))
+        out[f"enumerate_classes d={d}"] = "".join(
+            f"{prof} {c}\n" for prof in profiles for c in enumerate_classes(d, prof))
     return {k: _digest(v) for k, v in out.items()}
 
 

@@ -50,6 +50,8 @@ E5 = lambda: _surface(
 def test_surface_requires_connectedness():
     with pytest.raises(ValueError):
         SquareTiledSurface(v=parse_cycles("(1 2)", 4), h=parse_cycles("(3 4)", 4))
+    with pytest.raises(ValueError, match="at least one square"):
+        SquareTiledSurface(v=(), h=())
 
 
 def test_worked_example_commutators():

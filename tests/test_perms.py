@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from toruscovers.formulas import primes_up_to
 from toruscovers.perms import (
+    as_partition,
     centralizer_elements,
     centralizer_order,
     class_elements,
@@ -102,6 +103,19 @@ def test_partitions_reverse_lex_and_counts():
     ]
 
 
+def test_as_partition_reads_every_spelling():
+    for spec in ("2,2,1", "1 2 2", " 2, 1,2 ", [1, 2, 2], (2, 1, 2), ["2", "1", "2"]):
+        assert as_partition(spec) == as_partition(spec, 5) == (2, 2, 1)
+    assert as_partition("") == as_partition([]) == as_partition([], 0) == ()
+    for spec in ("3,0", "2 -1", [0], [4, -1]):
+        with pytest.raises(ValueError, match="must be positive"):
+            as_partition(spec)
+    with pytest.raises(ValueError, match=r"^\[3, 1\] is not a partition of 5$"):
+        as_partition("1,3", 5)
+    with pytest.raises(ValueError):
+        as_partition("3,x")
+
+
 def test_class_sizes_sum_to_group_order():
     for d in range(1, 8):
         assert sum(class_size(parts) for parts in partitions(d)) == factorial(d)
@@ -123,6 +137,12 @@ def test_class_elements_matches_class_size():
         assert len(elems) == class_size(parts)
         assert len(set(elems)) == len(elems)
         assert all(cycle_type(g) == parts for g in elems)
+    # parts in any order, checked against the degree
+    assert list(class_elements((1, 2), 3)) == list(class_elements((2, 1)))
+    with pytest.raises(ValueError):
+        list(class_elements((2, 1), 4))
+    with pytest.raises(ValueError):
+        list(class_elements((3, 0)))
 
 
 def test_type_weight():
