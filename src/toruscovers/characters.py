@@ -252,34 +252,30 @@ def _series_mul(a: Mapping[Key, Fraction], b: Mapping[Key, Fraction],
     return {key: v for key, v in out.items() if v}
 
 
-def series_exp(z: Mapping[Key, Fraction], d_max: int) -> dict[Key, Fraction]:
-    """exp(z) - 1 for a series with no constant term, by summing
-    z^m / m! (each monomial has total degree >= 1, so m is bounded)."""
-    total: dict[Key, Fraction] = {}
-    power: dict[Key, Fraction] = dict(z)
-    m = 1
-    fact = 1
-    while power:
-        for key, v in power.items():
-            total[key] = total.get(key, Fraction(0)) + v / fact
-        m += 1
-        fact *= m
-        power = _series_mul(power, z, d_max)
-    return {key: v for key, v in total.items() if v}
-
-
-def series_log(w: Mapping[Key, Fraction], d_max: int) -> dict[Key, Fraction]:
-    """log(1 + w) for a series with no constant term."""
+def _power_sum(w: Mapping[Key, Fraction], d_max: int,
+               coefficient) -> dict[Key, Fraction]:
+    """Sum of coefficient(m) * w^m over m >= 1 for a series with no
+    constant term (each monomial has total degree >= 1, so m is bounded)."""
     total: dict[Key, Fraction] = {}
     power: dict[Key, Fraction] = dict(w)
     m = 1
     while power:
-        sign = 1 if m % 2 else -1
+        c = coefficient(m)
         for key, v in power.items():
-            total[key] = total.get(key, Fraction(0)) + sign * v / m
+            total[key] = total.get(key, Fraction(0)) + c * v
         m += 1
         power = _series_mul(power, w, d_max)
     return {key: v for key, v in total.items() if v}
+
+
+def series_exp(z: Mapping[Key, Fraction], d_max: int) -> dict[Key, Fraction]:
+    """exp(z) - 1 for a series with no constant term: the sum of z^m / m!."""
+    return _power_sum(z, d_max, lambda m: Fraction(1, factorial(m)))
+
+
+def series_log(w: Mapping[Key, Fraction], d_max: int) -> dict[Key, Fraction]:
+    """log(1 + w) for a series with no constant term: sum of (-1)^(m+1) w^m / m."""
+    return _power_sum(w, d_max, lambda m: Fraction((-1) ** (m + 1), m))
 
 
 def build_generating_functions(d_max: int) -> tuple[GenSeries, GenSeries]:
@@ -303,12 +299,4 @@ def build_generating_functions(d_max: int) -> tuple[GenSeries, GenSeries]:
     return (
         GenSeries("Z_hat", d_max, zhat),
         GenSeries("Z_tilde", d_max, ztilde),
-    )
-
-
-def connected_from_disconnected(zhat: GenSeries) -> GenSeries:
-    """Formal logarithm: recovers the connected series from the
-    disconnected one."""
-    return GenSeries(
-        "Z_tilde", zhat.d_max, series_log(zhat.coeffs, zhat.d_max)
     )

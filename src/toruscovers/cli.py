@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -37,7 +38,7 @@ from .geometry import (
     slope_from_counts,
 )
 from .monodromy import decompose
-from .perms import as_partition, commutator, cycle_string, parse_cycles
+from .perms import as_partition, classify_group, commutator, cycle_string, parse_cycles
 
 EXIT_VERIFY = 1
 EXIT_INVALID = 2
@@ -206,15 +207,10 @@ def _emit(args, payload, table_lines=()) -> None:
 
 def _csv_text(payload) -> str:
     rows = payload if isinstance(payload, list) else [payload]
-    flat = []
-    for r in rows:
-        if isinstance(r, dict):
-            flat.append(
-                {
-                    k: (json.dumps(v) if isinstance(v, (list, dict)) else v)
-                    for k, v in r.items()
-                }
-            )
+    flat = [
+        {k: (json.dumps(v) if isinstance(v, (list, dict)) else v) for k, v in r.items()}
+        for r in rows
+    ]
     if not flat:
         return ""
     fields = sorted({k for r in flat for k in r})
@@ -412,9 +408,7 @@ def cmd_genfun_check(args) -> int:
     _at_least("--d-max", args.d_max, 1)
     zhat, ztilde = chars.build_generating_functions(args.d_max)
     ok_exp = chars.series_exp(ztilde.coeffs, args.d_max) == dict(zhat.coeffs)
-    ok_log = dict(
-        chars.connected_from_disconnected(zhat).coeffs
-    ) == dict(ztilde.coeffs)
+    ok_log = chars.series_log(zhat.coeffs, args.d_max) == dict(ztilde.coeffs)
     payload = {
         "d_max": args.d_max,
         "exp_identity": ok_exp,
@@ -568,9 +562,10 @@ def verify_origami() -> Iterator[Check]:
     dec = decompose(7, RamificationProfile.of(7, "2,2"))
     where = {dec.classes[i]: n for n, comp in enumerate(dec.components) for i in comp}
     in1, in2 = where.get(w1), where.get(w2)
+    kinds = "/".join(classify_group([w.alpha, w.beta], w.degree) for w in (w1, w2))
     yield (
         "the two witness pairs for sigma=(2,2,1^3), d=7 lie in distinct "
-        f"components (groups {w1.group_kind}/{w2.group_kind})",
+        f"components (groups {kinds})",
         in1 is not None and in2 is not None and in1 != in2,
     )
 
@@ -703,35 +698,35 @@ def cmd_probe_g3(args) -> int:
 
 def cmd_origami_render(args) -> int:
     _at_least("--d", args.d, 1)
+    pair = "/".join(f"--{o}" for o in ("alpha", "beta") if vars(args)[o] is not None)
+    pick = "/".join(f"--{o}" for o in ("sigma", "index") if vars(args)[o] is not None)
+    if pair and pick:
+        return _fail(EXIT_INVALID, f"{pair} cannot be given with {pick}")
     if args.alpha and args.beta:
         # a connected surface of degree >= 2 moves every square, and the
         # two strings name at most as many squares as they have characters
         if args.d > max(1, len(args.alpha) + len(args.beta)):
             return _fail(EXIT_INVALID, "surface is not connected")
         surface = _surface(args.d, args.alpha, args.beta)
+    elif not args.sigma:
+        return _fail(EXIT_INVALID, "need either --alpha/--beta or --sigma with --index")
     else:
-        if not args.sigma:
-            return _fail(
-                EXIT_INVALID, "need either --alpha/--beta or --sigma with --index"
-            )
         prof = _profile(args)
         classes = enumerate_classes(args.d, prof)
         if not classes:
             return _fail(EXIT_INVALID, f"d={args.d} sigma={prof} has no cover classes")
-        if not 0 <= args.index < len(classes):
+        index = args.index or 0
+        if not 0 <= index < len(classes):
             return _fail(
-                EXIT_INVALID,
-                f"--index {args.index} out of range (0..{len(classes) - 1})",
+                EXIT_INVALID, f"--index {index} out of range (0..{len(classes) - 1})"
             )
-        surface = origami.SquareTiledSurface.from_pair(classes[args.index])
+        surface = origami.SquareTiledSurface.from_pair(classes[index])
     doc = origami.render(surface, format=args.format)
     if args.mark_weierstrass:
         parity = origami.weierstrass_parity(CoverClass(surface.v, surface.h))
         note = f"integer Weierstrass points: {parity}"
         if args.format == "svg":
-            doc = doc.replace(
-                "</svg>", f"<!-- {note} -->\n</svg>"
-            )
+            doc = doc.replace("</svg>", f"<!-- {note} -->\n</svg>")
         else:
             doc += note + "\n"
     _write(args, doc)
@@ -846,32 +841,30 @@ def build_parser() -> argparse.ArgumentParser:
     rp = osub.add_parser("render", help="draw one surface")
     rp.add_argument("--d", type=int, required=True)
     rp.add_argument("--sigma")
-    rp.add_argument("--index", type=int, default=0,
-                    help="class index in enumeration order")
+    rp.add_argument("--index", type=int, help="class index in enumeration order")
     rp.add_argument("--alpha", help="explicit v permutation, cycle notation")
     rp.add_argument("--beta", help="explicit h permutation, cycle notation")
     output(rp, ("ascii", "svg"), "ascii")
     rp.add_argument("--mark-weierstrass", action="store_true")
     rp.set_defaults(handler="cmd_origami_render")
 
+    # the usage as argparse before 3.13 wraps it at 80 columns; 3.13 joins
+    # "..." onto the line of choices, so one fixed layout keeps --help equal
+    pad = " " * len(f"usage: {p.prog} ")
+    p.usage = f"%(prog)s [-h]\n{pad}{{{','.join(sub.choices)}}}\n{pad}..."
     return p
 
 
-_parser: Optional[tuple[tuple[int, int], argparse.ArgumentParser]] = None
-
-
-def _main_parser() -> argparse.ArgumentParser:
-    """The parser that ``main`` reuses, built on its first call and again
-    only when a bound constant that the defaults show has changed."""
-    global _parser
-    bounds = (DEFAULT_MAX_DEGREE, formulas.MAX_CLOSED_FORM_DEGREE)
-    if _parser is None or _parser[0] != bounds:
-        _parser = (bounds, build_parser())
-    return _parser[1]
+@functools.lru_cache(maxsize=1)
+def _parser_for(max_degree: int, max_prime: int) -> argparse.ArgumentParser:
+    """The parser that ``main`` reuses while the bound constants that its
+    defaults show (the arguments) stay the same."""
+    return build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _main_parser().parse_args(argv)
+    bounds = DEFAULT_MAX_DEGREE, formulas.MAX_CLOSED_FORM_DEGREE
+    args = _parser_for(*bounds).parse_args(argv)
     try:
         # handlers are named, not captured, so the reused parser runs the
         # module's current one
@@ -880,8 +873,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(EXIT_CAPACITY, str(e))
     except CacheError as e:
         return _fail(EXIT_CACHE, str(e))
-    except SystemExit:
-        raise
     except (ValueError, TypeError) as e:
         return _fail(EXIT_INVALID, str(e))
     except Exception as e:  # a defect, never a verdict: exit 1 means FAIL only

@@ -37,7 +37,6 @@ from .perms import (
     centralizer_elements,
     centralizer_order,
     class_elements,
-    classify_group,
     compose,
     conjugate,
     cycle_layout,
@@ -47,7 +46,6 @@ from .perms import (
     is_prime,
     is_transitive,
     orbit_of,
-    partition_sign,
     partitions,
     type_rep,
     type_weight,
@@ -115,7 +113,7 @@ class RamificationProfile:
     @property
     def admits_covers(self) -> bool:
         """Commutators are even, so an odd class admits no covers."""
-        return partition_sign(self.parts) == 1
+        return self.genus is not None
 
     @property
     def genus(self) -> Optional[int]:
@@ -346,11 +344,6 @@ class CoverClass:
         return count
 
     @cached_property
-    def group_kind(self) -> str:
-        """Classification of the generated monodromy group."""
-        return classify_group([self.alpha, self.beta], self.degree)
-
-    @cached_property
     def is_primitive(self) -> bool:
         """Whether the absolute periods generate the full lattice (the
         cover is not pulled back through an isogeny)."""
@@ -535,6 +528,12 @@ class CountsTable:
     profile: RamificationProfile
     by_type: tuple[tuple[Partition, int], ...]  # sorted reverse-lex, nonzero only
 
+    @classmethod
+    def of(cls, profile: RamificationProfile,
+           counts: dict[Partition, int]) -> CountsTable:
+        """The table of ``counts``, nonzero class counts keyed by beta type."""
+        return cls(profile.degree, profile, tuple(sorted(counts.items(), reverse=True)))
+
     @property
     def N(self) -> int:
         return sum(n for _, n in self.by_type)
@@ -607,5 +606,4 @@ def count_table(
         counts = {t: int(w) for t, w in weighted.items()}
     else:
         raise ValueError(f"unknown method {method!r}")
-    rows = tuple(sorted(counts.items(), reverse=True))  # reverse-lex
-    return CountsTable(degree, profile, rows)
+    return CountsTable.of(profile, counts)

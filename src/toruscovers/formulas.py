@@ -34,11 +34,10 @@ from .perms import Partition, as_partition, is_prime, multiplicities, partitions
 
 Sizes = Sequence[tuple[int, int]]  # (size, multiplicity) pairs, sizes descending
 
-FAMILIES = ("g2_31", "g2_22", "g3_5")
+_FAMILY_SIGMA = {"g2_31": "3", "g2_22": "2,2", "g3_5": "5"}
+FAMILIES = tuple(_FAMILY_SIGMA)
 # the g = 2 families: slope 10, and a closed form of the genus
 GENUS2_FAMILIES = ("g2_31", "g2_22")
-
-_FAMILY_SIGMA = {"g2_31": "3", "g2_22": "2,2", "g3_5": "5"}
 
 # largest degree of the closed forms that walk the admissible types; the
 # g3_5 walk in assembled_N_M grows about as d^3

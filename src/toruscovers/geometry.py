@@ -32,7 +32,6 @@ from .covers import (
     enumerate_classes,
 )
 from .monodromy import OrbitDecomposition, decompose
-from .perms import type_weight
 
 N_DEGENERATE_FIBERS = 12
 
@@ -77,9 +76,7 @@ def component_slope(
     profile: RamificationProfile, members: Sequence[CoverClass]
 ) -> SlopeResult:
     """Slope of a component, or any list of classes, from its count and weights."""
-    types = Counter(c.beta_type for c in members)
-    M = sum((n * type_weight(t) for t, n in types.items()), Fraction(0))
-    return slope_from_counts(profile, len(members), M)
+    return slope(CountsTable.of(profile, Counter(c.beta_type for c in members)))
 
 
 # ---------------------------------------------------------------------------

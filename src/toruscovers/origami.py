@@ -63,9 +63,6 @@ class SquareTiledSurface:
     def from_pair(cls, cover: CoverClass) -> "SquareTiledSurface":
         return cls(v=cover.alpha, h=cover.beta)
 
-    def to_pair(self) -> CoverClass:
-        return CoverClass.from_pair(self.v, self.h)
-
     def __str__(self) -> str:
         return f"(v={cycle_string(self.v)}, h={cycle_string(self.h)})"
 

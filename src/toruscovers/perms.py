@@ -17,6 +17,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
+from operator import index
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 Perm = tuple[int, ...]
@@ -229,16 +230,18 @@ def _partitions_cached(n: int) -> tuple[Partition, ...]:
 def as_partition(spec: str | Iterable[int], degree: Optional[int] = None) -> Partition:
     """The parts of a caller's partition, as integers, descending.
 
-    ``spec`` is a sequence of parts or a spelling like ``"3"``, ``"2,2"``
-    or ``"3 1 1"``.  Raises ValueError on a part below 1 and, when
-    ``degree`` is given, on parts that do not sum to it.
+    ``spec`` is a sequence of parts (integers or their text) or a spelling
+    like ``"3"``, ``"2,2"`` or ``"3 1 1"``.  Raises TypeError on any other
+    part (such as 2.5), ValueError on a part below 1 and, when ``degree``
+    is given, on parts that do not sum to it.
 
     >>> as_partition("1, 3 1"), as_partition([2, 2], 4)
     ((3, 1, 1), (2, 2))
     """
     if isinstance(spec, str):
         spec = spec.replace(",", " ").split()
-    parts = tuple(sorted(map(int, spec), reverse=True))
+    parts = tuple(sorted([int(x) if isinstance(x, str) else index(x) for x in spec],
+                         reverse=True))
     if parts and parts[-1] < 1:
         raise ValueError("partition parts must be positive")
     if degree is not None and sum(parts) != degree:

@@ -279,7 +279,7 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         return build_parser()
 
     monkeypatch.setattr(cli, "build_parser", counting)
-    monkeypatch.setattr(cli, "_parser", None)
+    cli._parser_for.cache_clear()
     calls = [
         (["enumerate", "--d", "3", "--sigma", "3"], 0),
         (["counts", "--d", "4", "--sigma", "3"], 0),
@@ -414,6 +414,25 @@ def test_origami_render_of_an_empty_family_says_so(index, capsys):
     )
     assert code == 2 and out == ""
     assert err == "error: d=4 sigma=(2,1,1) has no cover classes\n"
+
+
+@pytest.mark.parametrize(
+    "extra,pair,pick",
+    [
+        (["--sigma", "3", "--alpha", "(1 2 3 4 5)"], "--alpha", "--sigma"),
+        (["--alpha", "(1 5)", "--beta", "(1 2 3 4)", "--sigma", "3", "--index", "4"],
+         "--alpha/--beta", "--sigma/--index"),
+        (["--beta", "(1 2 3 4)", "--sigma", "3"], "--beta", "--sigma"),
+        (["--alpha", "(1 5)", "--beta", "(1 2 3 4)", "--index", "0"],
+         "--alpha/--beta", "--index"),
+    ],
+    ids=["alpha-sigma", "all-four", "beta-sigma", "pair-index"],
+)
+def test_origami_render_refuses_a_surface_named_two_ways(extra, pair, pick, capsys):
+    # explicit permutations and an enumerated class cannot both be drawn
+    code, out, err = run(["origami", "render", "--d", "5", *extra], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {pair} cannot be given with {pick}\n"
 
 
 def test_origami_render_refuses_more_squares_than_its_cycles_name(capsys):

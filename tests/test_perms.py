@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toruscovers.characters import character_degree, disconnected_count
+from toruscovers.covers import RamificationProfile
 from toruscovers.formulas import primes_up_to
 from toruscovers.perms import (
     as_partition,
@@ -114,6 +116,12 @@ def test_as_partition_reads_every_spelling():
         as_partition("1,3", 5)
     with pytest.raises(ValueError):
         as_partition("3,x")
+    # a part that is not an integer is refused, not truncated, by every caller
+    for call in (lambda: disconnected_count(3, 0, [2.5, 1], method="convolution"),
+                 lambda: character_degree([2.9, 1.2]),
+                 lambda: RamificationProfile.of(5, [3.7])):
+        with pytest.raises(TypeError, match="integer"):
+            call()
 
 
 def test_class_sizes_sum_to_group_order():
