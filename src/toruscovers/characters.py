@@ -27,7 +27,9 @@ from functools import lru_cache
 from math import factorial
 from typing import Mapping, Sequence
 
-from .covers import RamificationProfile, aut_weighted_counts, check_capacity
+from .covers import (
+    ConsistencyError, RamificationProfile, aut_weighted_counts, check_capacity
+)
 from .perms import (
     Partition,
     as_partition,
@@ -110,7 +112,7 @@ def character_degree(shape: Sequence[int]) -> int:
             product *= row - j + conj[j] - i - 1
     value = Fraction(factorial(d), product)
     if value.denominator != 1:
-        raise ArithmeticError("hook product does not divide d!")
+        raise ConsistencyError("hook product does not divide d!")
     return int(value)
 
 
@@ -204,7 +206,7 @@ def disconnected_count(
                 )
         total *= class_size(p) * class_size(tau)
         if total.denominator != 1:
-            raise ArithmeticError("character sum is not an integer")
+            raise ConsistencyError("character sum is not an integer")
         return int(total)
     if method == "convolution":
         beta0 = type_rep(p)

@@ -2,7 +2,9 @@
 verification bundles, sweeps with a JSONL result cache, and renders.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 capacity exceeded, 4 cache corruption, 5 internal error.
+3 capacity exceeded, 4 unreadable or unwritable cache, 5 internal error.
+Handlers raise (ValueError for invalid input); ``main`` alone prints
+the error and picks its code.
 """
 from __future__ import annotations
 
@@ -169,18 +171,13 @@ def _profile(
     try:
         return RamificationProfile.of(args.d, args.sigma)
     except (ValueError, TypeError) as e:
-        raise SystemExit(_fail(EXIT_INVALID, f"invalid sigma: {e}"))
-
-
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+        raise ValueError(f"invalid sigma: {e}") from e
 
 
 def _at_least(option: str, value: int, low: int) -> None:
-    """Exit 2 naming ``option`` when its value is below ``low``."""
+    """Raise ValueError naming ``option`` when its value is below ``low``."""
     if value < low:
-        raise SystemExit(_fail(EXIT_INVALID, f"{option} must be at least {low}"))
+        raise ValueError(f"{option} must be at least {low}")
 
 
 def _write(args, text: str) -> None:
@@ -190,7 +187,7 @@ def _write(args, text: str) -> None:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as e:
             message = f"cannot write --output {args.output}: {e.strerror or e}"
-            raise SystemExit(_fail(EXIT_INVALID, message))
+            raise ValueError(message) from e
     else:
         sys.stdout.write(text)
 
@@ -231,20 +228,18 @@ def _parse_d_list(args) -> list[int]:
             if not 1 <= lo <= hi:
                 raise ValueError
         except ValueError:
-            raise SystemExit(_fail(
-                EXIT_INVALID, f"bad --d-range {args.d_range!r}; want a..b, 1 <= a <= b"
-            ))
+            raise ValueError(f"bad --d-range {args.d_range!r}; want a..b, 1 <= a <= b")
     elif args.d is not None:
         _at_least("--d", args.d, 1)
         lo = hi = args.d
     else:
-        raise SystemExit(_fail(EXIT_INVALID, "need --d or --d-range"))
+        raise ValueError("need --d or --d-range")
     check_capacity(hi, args.max_degree)
     ds = list(range(lo, hi + 1))
     if args.primes_only:
         ds = [d for d in ds if formulas.is_prime(d)]
         if not ds:
-            raise SystemExit(_fail(EXIT_INVALID, "--primes-only leaves no degree"))
+            raise ValueError("--primes-only leaves no degree")
     return ds
 
 
@@ -269,10 +264,9 @@ def cmd_counts(args) -> int:
         family = formulas.family_of(prof)
         if family is None or not formulas.is_prime(args.d):
             sigmas = " | ".join(map(formulas.family_sigma, formulas.FAMILIES))
-            return _fail(
-                EXIT_INVALID,
+            raise ValueError(
                 "--method formula needs prime d and sigma in one of the "
-                f"closed-form families ({sigmas})",
+                f"closed-form families ({sigmas})"
             )
     else:
         prof = _profile(args)
@@ -323,9 +317,8 @@ def cmd_slope(args) -> int:
 def cmd_components(args) -> int:
     prof = _profile(args)
     if args.genus is not None and prof.genus != args.genus:
-        return _fail(
-            EXIT_INVALID,
-            f"sigma {prof.parts} gives cover genus {prof.genus}, not {args.genus}",
+        raise ValueError(
+            f"sigma {prof.parts} gives cover genus {prof.genus}, not {args.genus}"
         )
     rows = component_rows(prof, decompose(args.d, prof, max_degree=args.max_degree))
     payload = {
@@ -573,21 +566,21 @@ def verify_origami() -> Iterator[Check]:
 def cmd_verify(args) -> int:
     primes: list[int] = []
     if args.primes is not None and not args.family:
-        return _fail(EXIT_INVALID, "--primes needs --family")
+        raise ValueError("--primes needs --family")
     if args.family:
         given = "5,7" if args.primes is None else args.primes
         if not given.strip():
-            return _fail(EXIT_INVALID, "--primes names no prime")
+            raise ValueError("--primes names no prime")
         for entry in given.split(","):
             try:
                 primes.append(int(entry))
             except ValueError:
-                return _fail(EXIT_INVALID, f"bad --primes entry {entry!r}")
+                raise ValueError(f"bad --primes entry {entry!r}")
         primes = list(dict.fromkeys(primes))  # repeats run once
         check_capacity(max(primes), DEFAULT_MAX_DEGREE)
         bad = [p for p in primes if not formulas.is_prime(p)]
         if bad:
-            return _fail(EXIT_INVALID, f"--primes must be prime, got {bad}")
+            raise ValueError(f"--primes must be prime, got {bad}")
     bundles = {
         "family": lambda: verify_family(args.family, primes),
         "appendix": verify_appendix,
@@ -599,7 +592,7 @@ def cmd_verify(args) -> int:
     chosen = [run for flag, run in bundles.items() if getattr(args, flag)]
     if not chosen:
         flags = "/".join(f"--{flag}" for flag in bundles)
-        return _fail(EXIT_INVALID, f"nothing to verify: pass {flags}")
+        raise ValueError(f"nothing to verify: pass {flags}")
     checks = [check for run in chosen for check in run()]
     for label, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
@@ -651,7 +644,7 @@ def cmd_sweep(args) -> int:
     try:
         sigma = _short_sigma(args.sigma)
     except ValueError as e:
-        return _fail(EXIT_INVALID, f"invalid sigma: {e}")
+        raise ValueError(f"invalid sigma: {e}") from e
     cache = ResultCache.at(args.cache_dir) if args.cache_dir else None
     kind = "sweep" + ("+genus" if args.genus else "")
     rows, cached = [], 0
@@ -701,25 +694,23 @@ def cmd_origami_render(args) -> int:
     pair = "/".join(f"--{o}" for o in ("alpha", "beta") if vars(args)[o] is not None)
     pick = "/".join(f"--{o}" for o in ("sigma", "index") if vars(args)[o] is not None)
     if pair and pick:
-        return _fail(EXIT_INVALID, f"{pair} cannot be given with {pick}")
+        raise ValueError(f"{pair} cannot be given with {pick}")
     if args.alpha and args.beta:
         # a connected surface of degree >= 2 moves every square, and the
         # two strings name at most as many squares as they have characters
         if args.d > max(1, len(args.alpha) + len(args.beta)):
-            return _fail(EXIT_INVALID, "surface is not connected")
+            raise ValueError("surface is not connected")
         surface = _surface(args.d, args.alpha, args.beta)
     elif not args.sigma:
-        return _fail(EXIT_INVALID, "need either --alpha/--beta or --sigma with --index")
+        raise ValueError("need either --alpha/--beta or --sigma with --index")
     else:
         prof = _profile(args)
         classes = enumerate_classes(args.d, prof)
         if not classes:
-            return _fail(EXIT_INVALID, f"d={args.d} sigma={prof} has no cover classes")
+            raise ValueError(f"d={args.d} sigma={prof} has no cover classes")
         index = args.index or 0
         if not 0 <= index < len(classes):
-            return _fail(
-                EXIT_INVALID, f"--index {index} out of range (0..{len(classes) - 1})"
-            )
+            raise ValueError(f"--index {index} out of range (0..{len(classes) - 1})")
         surface = origami.SquareTiledSurface.from_pair(classes[index])
     doc = origami.render(surface, format=args.format)
     if args.mark_weierstrass:
@@ -870,13 +861,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # module's current one
         return globals()[args.handler](args)
     except CapacityError as e:
-        return _fail(EXIT_CAPACITY, str(e))
+        code, message = EXIT_CAPACITY, str(e)
     except CacheError as e:
-        return _fail(EXIT_CACHE, str(e))
-    except (ValueError, TypeError) as e:
-        return _fail(EXIT_INVALID, str(e))
+        code, message = EXIT_CACHE, str(e)
+    except ValueError as e:
+        code, message = EXIT_INVALID, str(e)
     except Exception as e:  # a defect, never a verdict: exit 1 means FAIL only
-        return _fail(EXIT_INTERNAL, f"internal: {type(e).__name__}: {e}")
+        code, message = EXIT_INTERNAL, f"internal: {type(e).__name__}: {e}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .perms import (
     centralizer_elements,
     centralizer_order,
     class_elements,
+    commutator,
     compose,
     conjugate,
     cycle_layout,
@@ -312,14 +313,16 @@ class CoverClass:
 
     @cached_property
     def commutator_type(self) -> Partition:
-        from .perms import commutator
-
         return cycle_type(commutator(self.alpha, self.beta))
 
     @cached_property
+    def _walk(self) -> tuple[bytes, int]:
+        return _key_walk(self.alpha, self.beta)
+
+    @property
     def key(self) -> bytes:
         """The :func:`origami_key` of the pair, equal for conjugate pairs."""
-        return origami_key(self.alpha, self.beta)
+        return self._walk[0]
 
     @cached_property
     def twists(self) -> tuple[bytes, bytes]:
@@ -338,7 +341,7 @@ class CoverClass:
     def stabilizer_order(self) -> int:
         """Number of simultaneous self-conjugations z of the pair, counted
         by the walk of its :func:`origami_key`."""
-        count = _key_walk(self.alpha, self.beta)[1]
+        count = self._walk[1]
         if centralizer_order(self.beta_type) % count:
             raise ConsistencyError("stabilizer order does not divide centralizer order")
         return count

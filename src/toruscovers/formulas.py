@@ -28,7 +28,7 @@ from math import comb, factorial, gcd, prod
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .covers import RamificationProfile, check_capacity
+from .covers import ConsistencyError, RamificationProfile, check_capacity
 from .geometry import slope_from_counts
 from .perms import Partition, as_partition, is_prime, multiplicities, partitions
 
@@ -271,7 +271,7 @@ def _count_sizes(degree: int, family: str, sizes: Sizes) -> int:
         poly = 3 * l1 * l1 + 3 * l2 * l2 - 19 * l1 - 11 * l2 + 4 * degree + 22
         twice = l1 * l2 * poly
         if twice % 2:
-            raise ArithmeticError(f"non-integral count for sizes {list(sizes)}")
+            raise ConsistencyError(f"non-integral count for sizes {list(sizes)}")
         return twice // 2
     if len(sizes) == 3:
         (l1, _), (l2, _), (l3, _) = sizes
@@ -381,7 +381,7 @@ def closed_N_M(degree: int, family: str) -> tuple[int, Fraction]:
         N = Fraction(5 * base * (61 * d * d - 424 * d + 723), 1152)
         M = Fraction(base * (637 * d * d - 4408 * d + 7491), 1920)
     if N.denominator != 1:
-        raise ArithmeticError(f"non-integral N for d={d}")
+        raise ConsistencyError(f"non-integral N for d={d}")
     return int(N), M
 
 
@@ -519,7 +519,7 @@ def dejonquieres(genus: int, mu: Sequence[int]) -> int:
         denom = factorial(genus - sum(m)) * prod(map(factorial, (*m, *j)))
         coeff, rest = divmod(numer, denom)
         if rest:
-            raise ArithmeticError(f"non-integral multinomial {numer}/{denom}")
+            raise ConsistencyError(f"non-integral multinomial {numer}/{denom}")
         powers = prod(a ** (2 * k + l) for (a, _), k, l in zip(values, m, j))
         total += (-1) ** sum(j) * coeff * powers
     return total

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .covers import CoverClass
+from .covers import ConsistencyError, CoverClass
 from .monodromy import quarter_turn, twist_tables
 from .perms import (
     Perm,
@@ -124,7 +124,7 @@ def _cylinder_rows(s: SquareTiledSurface) -> list[list[tuple[int, ...]]]:
         if not stack:
             continue
         if len({len(a) for a in stack}) != 1:
-            raise RuntimeError("merged annuli of unequal circumference")
+            raise ConsistencyError("merged annuli of unequal circumference")
         out.append(stack)
     out.sort(key=lambda st: min(min(a) for a in st))
     return out
@@ -170,8 +170,7 @@ def weierstrass_parity(cover: CoverClass) -> int:
         raise ValueError(
             "parity invariant is defined for the (3, 1^(d-3)) family only"
         )
-    pair = [cover.alpha, cover.beta]
-    if not (is_transitive(pair, cover.degree) and cover.is_primitive):
+    if not cover.is_primitive:  # raises ValueError on an intransitive pair
         raise ValueError("pair generates neither S_d nor A_d")
     return 1 if sign(cover.alpha) < 0 or sign(cover.beta) < 0 else 3
 

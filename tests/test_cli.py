@@ -823,8 +823,48 @@ def test_degree_past_its_bound_is_exit_3_before_any_work(argv, capsys, monkeypat
 
 
 @pytest.mark.parametrize(
-    "error", [RuntimeError("boom"), ConsistencyError("cross-check failed")],
-    ids=["RuntimeError", "ConsistencyError"],
+    "argv",
+    [
+        ["counts", "--d", "4", "--sigma", "x"],
+        ["enumerate", "--d", "0", "--sigma", "3"],
+        ["characters", "--d", "3", "--output", "{missing}/f.csv"],
+        ["sweep", "--d-range", "5..3", "--sigma", "3"],
+        ["sweep", "--sigma", "3"],
+        ["sweep", "--d-range", "8..9", "--primes-only", "--sigma", "3"],
+        ["counts", "--d", "4", "--sigma", "3", "--method", "formula"],
+        ["components", "--d", "3", "--sigma", "3", "--genus", "5"],
+        ["verify", "--primes", "5"],
+        ["verify", "--family", "g2_31", "--primes", " "],
+        ["verify", "--family", "g2_31", "--primes", "5,x"],
+        ["verify", "--family", "g2_31", "--primes", "4"],
+        ["verify"],
+        ["sweep", "--d", "3", "--sigma", "x"],
+        ["origami", "render", "--d", "3", "--alpha", "(1 2 3)", "--sigma", "3"],
+        ["origami", "render", "--d", "9", "--alpha", "(1)", "--beta", "(1)"],
+        ["origami", "render", "--d", "3"],
+        ["origami", "render", "--d", "4", "--sigma", "2"],
+        ["origami", "render", "--d", "3", "--sigma", "3", "--index", "99"],
+    ],
+    ids=["profile", "at-least", "write", "d-range", "no-degree", "primes-only",
+         "formula-family", "genus", "primes-no-family", "primes-blank",
+         "primes-entry", "primes-composite", "nothing-to-verify", "sweep-sigma",
+         "render-two-ways", "render-not-connected", "render-no-surface",
+         "render-no-classes", "render-index"],
+)
+def test_every_invalid_input_returns_2_from_main(argv, tmp_path, capsys):
+    # main itself returns the code: nothing raises SystemExit past it
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [RuntimeError("boom"), ConsistencyError("cross-check failed"),
+     TypeError("unsupported operand")],
+    ids=["RuntimeError", "ConsistencyError", "TypeError"],
 )
 def test_unexpected_exception_is_exit_internal(error, capsys, monkeypatch):
     def broken(args):

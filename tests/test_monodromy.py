@@ -206,7 +206,7 @@ def test_each_class_canonicalizes_each_generator_image_once(monkeypatch):
     # the keys of the a and b images canonicalized afresh, before counting
     oracle = [tuple(_image(g, c).key for g in "ab")
               for c in enumerate_classes(6, prof)]
-    calls = {"canonical_pair": [], "origami_key": []}
+    calls = {"canonical_pair": [], "_key_walk": []}
 
     def counting(name):
         real = getattr(covers, name)
@@ -232,7 +232,7 @@ def test_each_class_canonicalizes_each_generator_image_once(monkeypatch):
     # no image is canonicalized: each class keys itself and its a and b
     # images once each, and every other table is read off those two
     assert len(classes) == 88
-    want = {"canonical_pair": 0, "origami_key": 3 * len(classes)}
+    want = {"canonical_pair": 0, "_key_walk": 3 * len(classes)}
     assert {name: len(made) for name, made in calls.items()} == want
     # each class keeps its two image keys, which are the keys of the
     # classes the tables name, and the tables read them again
