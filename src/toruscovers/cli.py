@@ -40,7 +40,9 @@ from .geometry import (
     slope_from_counts,
 )
 from .monodromy import decompose
-from .perms import as_partition, classify_group, commutator, cycle_string, parse_cycles
+from .perms import (
+    as_partition, classify_group, commutator, compose, cycle_string, parse_cycles
+)
 
 EXIT_VERIFY = 1
 EXIT_INVALID = 2
@@ -182,7 +184,7 @@ def _at_least(option: str, value: int, low: int) -> None:
 
 def _write(args, text: str) -> None:
     """Write ``text`` to --output when it is given, to stdout otherwise."""
-    if args.output:
+    if args.output is not None:
         try:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as e:
@@ -222,7 +224,7 @@ def _parse_d_list(args) -> list[int]:
     """The degrees of --d or --d-range.  The top one is held to
     --max-degree, the bound that each row's enumeration applies, before
     the list is built."""
-    if args.d_range:
+    if args.d_range is not None:
         try:
             lo, hi = (int(x) for x in args.d_range.split(".."))
             if not 1 <= lo <= hi:
@@ -538,7 +540,7 @@ def verify_origami() -> Iterator[Check]:
     )
     yield (
         "shear of example 1 gives v' = (1 2 3 4 5)",
-        cycle_string(origami.act_U(e1).v) == "(1 2 3 4 5)",
+        cycle_string(compose(e1.v, e1.h)) == "(1 2 3 4 5)",
     )
     for d in (5, 7):
         dec = decompose(d, RamificationProfile.of(d, "3"))
@@ -695,13 +697,13 @@ def cmd_origami_render(args) -> int:
     pick = "/".join(f"--{o}" for o in ("sigma", "index") if vars(args)[o] is not None)
     if pair and pick:
         raise ValueError(f"{pair} cannot be given with {pick}")
-    if args.alpha and args.beta:
+    if args.alpha is not None and args.beta is not None:
         # a connected surface of degree >= 2 moves every square, and the
         # two strings name at most as many squares as they have characters
         if args.d > max(1, len(args.alpha) + len(args.beta)):
             raise ValueError("surface is not connected")
         surface = _surface(args.d, args.alpha, args.beta)
-    elif not args.sigma:
+    elif args.sigma is None:
         raise ValueError("need either --alpha/--beta or --sigma with --index")
     else:
         prof = _profile(args)

@@ -8,11 +8,10 @@ into a common cylinder exactly when no cone point sits on the interface
 circle, i.e. when h(v(i)) = v(h(i)) for every square i of the lower
 annulus.
 
-Two self-maps of the set of surfaces generate the relevant symmetry:
-U fixes h and composes v with it (the pair map (alpha, beta) ->
-(alpha beta, beta)), R quarter-turns the square lattice (the pair map
-(alpha, beta) -> (beta^-1, alpha)); R^2 inverts both permutations.
-On classes U is the twist b, and R is read off a and b (see monodromy).
+The shear U (the pair map (alpha, beta) -> (alpha beta, beta)) and the
+quarter turn R (the pair map (alpha, beta) -> (beta^-1, alpha)) act on
+classes only: U is the twist b and R = a b^-1 a, both read off the
+twist tables (see monodromy and ur_orbits).
 
 Convention note: h = beta, v = alpha is forced by the worked cylinder
 examples; with it, a one-cylinder surface is one whose beta is a single
@@ -21,7 +20,7 @@ d-cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .covers import ConsistencyError, CoverClass
 from .monodromy import quarter_turn, twist_tables
@@ -31,8 +30,6 @@ from .perms import (
     cycle_type,
     cycles,
     commutator,
-    compose,
-    inverse,
     is_transitive,
     orbits,
     sign,
@@ -91,10 +88,6 @@ def cylinders(s: SquareTiledSurface) -> list[tuple[int, int]]:
     return [(len(rows[0]), len(rows)) for rows in _cylinder_rows(s)]
 
 
-def _annulus_merges_up(s: SquareTiledSurface, annulus: Sequence[int]) -> bool:
-    return all(s.h[s.v[i]] == s.v[s.h[i]] for i in annulus)
-
-
 def _cylinder_rows(s: SquareTiledSurface) -> list[list[tuple[int, ...]]]:
     """Cylinders as lists of annuli (bottom first), each annulus a tuple
     of 0-based squares in h-order; cylinders sorted by smallest label."""
@@ -102,44 +95,27 @@ def _cylinder_rows(s: SquareTiledSurface) -> list[list[tuple[int, ...]]]:
     index = {i: n for n, cyc in enumerate(annuli) for i in cyc}
     # annulus -> annulus above it within the same cylinder; v restricted
     # to a smooth interface is a bijection of annuli, so this map is
-    # injective and its components are simple chains or simple loops
-    # (loops happen when the vertical direction closes up, e.g. on an
-    # unramified torus cover)
+    # injective and its components are simple chains or simple loops.
+    # A loop is invariant under v and h, so on a connected surface it is
+    # the whole surface: there is no bottom annulus exactly when the
+    # commutator is trivial, and then the one loop is read from annulus 0
     up = {
         n: index[s.v[cyc[0]]]
         for n, cyc in enumerate(annuli)
-        if _annulus_merges_up(s, cyc)
+        if all(s.h[s.v[i]] == s.v[s.h[i]] for i in cyc)
     }
-    bottoms = sorted(set(range(len(annuli))) - set(up.values()))
-    assigned = [False] * len(annuli)
     out = []
-    # chains from their bottoms, then loops from their smallest annulus
-    for start in bottoms + list(range(len(annuli))):
-        stack = []
-        m: Optional[int] = start
-        while m is not None and not assigned[m]:
-            assigned[m] = True
+    for start in sorted(set(range(len(annuli))) - set(up.values())) or [0]:
+        stack = [annuli[start]]
+        m = up.get(start)
+        while m not in (None, start):
             stack.append(annuli[m])
             m = up.get(m)
-        if not stack:
-            continue
         if len({len(a) for a in stack}) != 1:
             raise ConsistencyError("merged annuli of unequal circumference")
         out.append(stack)
     out.sort(key=lambda st: min(min(a) for a in st))
     return out
-
-
-def act_U(s: SquareTiledSurface) -> SquareTiledSurface:
-    """Horizontal shear: v becomes v*h, h is unchanged (so cylinder
-    circumferences are preserved).  On pairs this is the twist b."""
-    return SquareTiledSurface(compose(s.v, s.h), s.h)
-
-
-def act_R(s: SquareTiledSurface) -> SquareTiledSurface:
-    """Quarter turn: the pair (v, h) becomes (h^-1, v); applying it
-    twice inverts both permutations."""
-    return SquareTiledSurface(inverse(s.h), s.v)
 
 
 def ur_orbits(classes: Sequence[CoverClass]) -> list[tuple[int, ...]]:

@@ -39,13 +39,13 @@ from toruscovers.geometry import component_slope, curve_invariants, slope
 from toruscovers.monodromy import decompose
 from toruscovers.origami import (
     SquareTiledSurface,
-    act_U,
     cylinders,
     ur_orbits,
     weierstrass_parity,
 )
 from toruscovers.perms import (
     commutator,
+    compose,
     cycle_string,
     cycle_type,
     parse_cycles,
@@ -353,7 +353,7 @@ def test_criterion_11_square_tiled_views(acceptance_record):
     ok &= len(cylinders(e3)) == 1
     ok &= len(cylinders(e4)) == 2
     ok &= len(cylinders(e5)) == 3
-    ok &= cycle_string(act_U(e1).v) == "(1 2 3 4 5)"
+    ok &= cycle_string(compose(e1.v, e1.h)) == "(1 2 3 4 5)"
     # parity of integer points is constant on monodromy components
     for d in (5, 7):
         prof = RamificationProfile.of(d, "3")

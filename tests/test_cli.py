@@ -435,6 +435,30 @@ def test_origami_render_refuses_a_surface_named_two_ways(extra, pair, pick, caps
     assert err == f"error: {pair} cannot be given with {pick}\n"
 
 
+@pytest.mark.parametrize(
+    "given,spelled",
+    [
+        (["--d", "2", "--alpha", "(1 2)", "--beta", ""],
+         ["--d", "2", "--alpha", "(1 2)", "--beta", "()"]),
+        (["--d", "1", "--alpha", "", "--beta", ""],
+         ["--d", "1", "--alpha", "()", "--beta", "()"]),
+        (["--d", "3", "--sigma", ""], ["--d", "3", "--sigma", "1,1,1"]),
+    ],
+    ids=["empty-beta", "empty-pair", "empty-sigma"],
+)
+def test_origami_render_reads_an_empty_option_as_given(given, spelled, capsys):
+    # "" is the identity (or the trivial sigma), not a missing option
+    got = run(["origami", "render", *given], capsys)
+    assert got[0] == 0 and got == run(["origami", "render", *spelled], capsys)
+
+
+def test_origami_render_of_an_empty_pair_past_one_square_is_not_connected(capsys):
+    code, out, err = run(
+        ["origami", "render", "--d", "2", "--alpha", "", "--beta", ""], capsys
+    )
+    assert (code, out, err) == (2, "", "error: surface is not connected\n")
+
+
 def test_origami_render_refuses_more_squares_than_its_cycles_name(capsys):
     # a square that neither cycle string names is fixed by v and h, so the
     # surface cannot be connected; nothing of size d may be built first
@@ -485,6 +509,12 @@ def test_sweep_primes_only(capsys):
 def test_sweep_has_no_jobs_option(capsys):
     code, out, _ = run(["sweep", "--d", "3", "--sigma", "3", "--jobs", "2"], capsys)
     assert code == 2 and out == ""
+
+
+def test_sweep_reads_an_empty_d_range_as_given(capsys):
+    code, out, err = run(["sweep", "--d-range", "", "--sigma", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: bad --d-range ''; want a..b, 1 <= a <= b\n"
 
 
 def test_sweep_takes_either_d_or_d_range(capsys):
@@ -632,8 +662,9 @@ def test_sweep_reads_the_cache_file_once(tmp_path, capsys, monkeypatch):
     [
         ["characters", "--d", "3", "--output", "{missing}/f.csv"],
         ["sweep", "--d", "3", "--sigma", "3", "--output", "{directory}"],
+        ["counts", "--d", "3", "--sigma", "3", "--output", ""],
     ],
-    ids=["missing-dir", "a-directory"],
+    ids=["missing-dir", "a-directory", "empty-path"],
 )
 def test_unwritable_output_is_exit_2(argv, tmp_path, capsys):
     argv = [a.format(missing=tmp_path / "missing", directory=tmp_path) for a in argv]

@@ -10,8 +10,6 @@ from toruscovers.monodromy import decompose
 from toruscovers.origami import (
     SquareTiledSurface,
     _cylinder_rows,
-    act_R,
-    act_U,
     cylinders,
     render,
     render_ascii,
@@ -24,6 +22,7 @@ from toruscovers.origami import (
 from toruscovers.perms import (
     classify_group,
     commutator,
+    compose,
     conjugate,
     cycle_string,
     cycles,
@@ -138,29 +137,45 @@ def test_cylinder_rows_match_two_pass_walk(d):
     for sigma in partitions(d):
         for c in enumerate_classes(d, RamificationProfile.of(d, sigma)):
             s = SquareTiledSurface.from_pair(c)
-            for t in (s, act_R(s), act_U(s)):
+            # the quarter turn (h^-1, v) and the shear (v h, h) of s
+            turn = SquareTiledSurface(inverse(s.h), s.v)
+            shear = SquareTiledSurface(compose(s.v, s.h), s.h)
+            for t in (s, turn, shear):
                 assert _cylinder_rows(t) == _two_pass_cylinder_rows(t), str(t)
                 checked += 1
     assert checked == 3 * {1: 1, 2: 3, 3: 7, 4: 26, 5: 97, 6: 624, 7: 4163}[d]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_no_bottom_annulus_exactly_when_commutator_is_trivial(d):
+    # _cylinder_rows walks up from the bottom annuli only, and reads one
+    # loop from annulus 0 when there is none
+    loops = 0
+    for sigma in partitions(d):
+        for c in enumerate_classes(d, RamificationProfile.of(d, sigma)):
+            s = SquareTiledSurface.from_pair(c)
+            annuli = cycles(s.h)
+            index = {i: n for n, cyc in enumerate(annuli) for i in cyc}
+            above = {
+                index[s.v[cyc[0]]]
+                for cyc in annuli
+                if all(s.h[s.v[i]] == s.v[s.h[i]] for i in cyc)
+            }
+            trivial = commutator(s.v, s.h) == tuple(range(d))
+            assert (len(above) == len(annuli)) == trivial, str(s)
+            if trivial:
+                rows = _cylinder_rows(s)
+                assert len(rows) == 1 and rows[0][0] == annuli[0], str(s)
+                assert sorted(rows[0]) == annuli, str(s)
+                loops += 1
+    # the unramified covers: one class per sublattice of index d
+    assert loops == sum(k for k in range(1, d + 1) if d % k == 0)
 
 
 def test_vertical_loop_cylinder():
     # unramified double cover: one cylinder of circumference 1, height 2
     s = _surface("(1 2)", "()", 2)
     assert cylinders(s) == [(1, 2)]
-
-
-def test_shear_action():
-    assert cycle_string(act_U(E1()).v) == "(1 2 3 4 5)"
-    assert act_U(E1()).h == E1().h
-
-
-def test_quarter_turn_relations():
-    for s in (E1(), E2(), E4()):
-        r2 = act_R(act_R(s))
-        assert (r2.v, r2.h) == (inverse(s.v), inverse(s.h))
-        r4 = act_R(act_R(r2))
-        assert (r4.v, r4.h) == (s.v, s.h)
 
 
 def test_round_trip_through_cover_class():
