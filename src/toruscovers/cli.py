@@ -188,10 +188,20 @@ def _write(args, text: str) -> None:
         try:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as e:
-            message = f"cannot write --output {args.output}: {e.strerror or e}"
+            message = f"cannot write --output {args.output!r}: {e.strerror or e}"
             raise ValueError(message) from e
     else:
         sys.stdout.write(text)
+
+
+def _result_cache(args) -> Optional[ResultCache]:
+    """The cache in --cache-dir, None when the option is absent; an empty
+    directory name is bad input, not "no cache"."""
+    if args.cache_dir is None:
+        return None
+    if not args.cache_dir:
+        raise ValueError("--cache-dir must name a directory, not ''")
+    return ResultCache.at(args.cache_dir)
 
 
 def _emit(args, payload, table_lines=()) -> None:
@@ -290,7 +300,7 @@ def cmd_counts(args) -> int:
         s = slope(table)
         return {**table.as_dict(), "slope": None if s.slope is None else str(s.slope)}
 
-    cache = ResultCache.at(args.cache_dir) if args.cache_dir else None
+    cache = _result_cache(args)
     key = _cache_key(f"counts/{args.method}", args.d, list(prof.parts))
     payload, _ = _cached(cache, key, _counts_ok, compute)
     lines = [
@@ -647,7 +657,7 @@ def cmd_sweep(args) -> int:
         sigma = _short_sigma(args.sigma)
     except ValueError as e:
         raise ValueError(f"invalid sigma: {e}") from e
-    cache = ResultCache.at(args.cache_dir) if args.cache_dir else None
+    cache = _result_cache(args)
     kind = "sweep" + ("+genus" if args.genus else "")
     rows, cached = [], 0
     for d in ds:

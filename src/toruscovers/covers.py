@@ -20,6 +20,16 @@ A class meets the coset of that representative in exactly one orbit of
 ``Stab(gamma) = C(beta0) ∩ C(gamma)``, so classes correspond one-to-one
 to pairs (C(beta0)-orbit of gamma, Stab(gamma)-orbit of transitive alphas
 in the coset of its representative).
+
+The walk scans only the beta types with at most (d+1)/2 cycles.  The
+alpha- and beta-edges of a transitive pair connect all d points, so
+(d - c(alpha)) + (d - c(beta)) >= d - 1: a beta with more cycles comes
+with an alpha of a scanned type.  The quarter turn R(alpha, beta) =
+(beta^-1, alpha) keeps transitivity and conjugates the commutator (to
+beta^-1 [alpha, beta] beta), so it is one-to-one on the classes of sigma:
+an unscanned type's classes are the images of the scanned classes whose
+alpha has that type, canonicalized by a backtrack (:func:`_min_conjugate`)
+that never lists their large centralizers (10,080 elements for (2,1^7)).
 """
 from __future__ import annotations
 
@@ -28,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .perms import (
@@ -191,14 +202,75 @@ def _min_over_elements(alpha: Perm, ctx: _TypeContext) -> Perm:
     return tuple(best)
 
 
+def _scanned(parts: Partition) -> bool:
+    """Whether beta type ``parts`` has at most (d+1)/2 cycles: enumeration
+    walks its cosets and canonicalizes by scanning its centralizer; every
+    other type is reached by the quarter turn and :func:`_min_conjugate`."""
+    return 2 * len(parts) <= sum(parts) + 1
+
+
+def _min_conjugate(alpha: Perm, parts: Partition) -> Perm:
+    """The lex-least z alpha z^-1 over z in C(beta0), beta0 = type_rep(parts),
+    as :func:`_min_over_elements` finds it, by a pruned backtrack.
+
+    z^-1 is chosen one cycle slot of beta0 at a time, in label order: a
+    free target cycle of the slot's length and a rotation.  Position x is
+    decided once alpha(z^-1(x)) lies in a chosen target.  When the earliest
+    undecided position of the chosen slots points into a cycle of the next
+    slot's length, its least value is that slot's first label, so the slot
+    is forced; a branch stops once a decided position exceeds the best."""
+    d = len(alpha)
+    starts = [sum(parts[:k]) for k in range(len(parts))]
+    slot_of = [k for k, l in enumerate(parts) for _ in range(l)]
+    zinv, z = [-1] * d, [-1] * d  # on the chosen slots and on their targets
+    best: list[int] = []
+
+    def choose(j: int) -> None:
+        nonlocal best
+        end = starts[j] if j < len(parts) else d
+        below = not best
+        x = 0
+        while x < end and z[alpha[zinv[x]]] >= 0:
+            if not below and z[alpha[zinv[x]]] != best[x]:
+                if z[alpha[zinv[x]]] > best[x]:
+                    return
+                below = True
+            x += 1
+        if j == len(parts):
+            if below:
+                best = [z[alpha[zinv[y]]] for y in range(d)]
+            return
+        start, l = starts[j], parts[j]
+        # z^-1(start): forced, else any point of a free cycle of length l
+        y = alpha[zinv[x]] if x < end else None
+        heads = ([y] if y is not None and parts[slot_of[y]] == l else
+                 [p for k, s in enumerate(starts) if parts[k] == l and z[s] < 0
+                  for p in range(s, s + l)])
+        for p in heads:
+            s = starts[slot_of[p]]
+            for i in range(l):
+                t = s + (p - s + i) % l
+                zinv[start + i] = t
+                z[t] = start + i
+            choose(j + 1)
+            z[s:s + l] = [-1] * l
+
+    choose(0)
+    return tuple(best)
+
+
 def canonical_pair(alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
     """Canonical representative of the simultaneous-conjugation class of
     (alpha, beta): the cycle layout of beta relabels it as the fixed
     representative of its cycle type, then alpha is minimized over the
-    remaining freedom (the centralizer of that representative)."""
+    remaining freedom (the centralizer of that representative), by a scan
+    of it for a :func:`_scanned` type and :func:`_min_conjugate` else."""
     parts, t = cycle_layout(beta)
     ctx = _type_context(parts)
-    return _min_over_elements(conjugate(t, alpha), ctx), ctx.rep  # checks degrees
+    alpha = conjugate(t, alpha)  # checks degrees
+    if _scanned(parts):
+        return _min_over_elements(alpha, ctx), ctx.rep
+    return _min_conjugate(alpha, parts), ctx.rep
 
 
 def origami_key(alpha: Perm, beta: Perm) -> bytes:
@@ -453,10 +525,10 @@ def _canonical_support(mask: int, parts: Partition) -> bool:
     return True
 
 
-def _classes_for_type(ctx: _TypeContext, gammas: Iterable[Perm]) -> list[CoverClass]:
-    """Cover classes with beta = ctx.rep whose commutator lies in sigma's
-    class, given by ``gammas``, which meet each of its C(beta0)-orbits,
-    sorted by alpha."""
+def _alphas_for_type(ctx: _TypeContext, gammas: Iterable[Perm]) -> list[Perm]:
+    """Canonical alphas of the cover classes with beta = ctx.rep whose
+    commutator lies in sigma's class, given by ``gammas``, which meet each
+    of its C(beta0)-orbits."""
     beta0 = ctx.rep
     points = range(len(beta0))
     seen_gamma: set[Perm] = set()
@@ -487,8 +559,7 @@ def _classes_for_type(ctx: _TypeContext, gammas: Iterable[Perm]) -> list[CoverCl
         seen_gamma |= orbit
         stab = kept if kept is not None else _StabilizerScan(ctx, gamma)
         reps.extend(_coset_reps(ctx, a0, stab))
-    reps.sort()
-    return [CoverClass(a, beta0) for a in reps]
+    return reps
 
 
 def enumerate_classes(
@@ -504,18 +575,32 @@ def enumerate_classes(
     if degree != profile.degree:
         raise ValueError("profile degree mismatch")
     check_capacity(degree, max_degree)
-    out: list[CoverClass] = []
     if not profile.admits_covers:
-        return out
+        return []
     by_support: dict[int, list[Perm]] = {}
     for gamma in class_elements(profile.parts, degree):
         mask = sum(1 << x for x, y in enumerate(gamma) if x != y)
         by_support.setdefault(mask, []).append(gamma)
-    for parts in partitions(degree):
+    alphas: dict[Partition, list[Perm]] = {}
+    for parts in filter(_scanned, partitions(degree)):
+        ctx = _type_context(parts)
         gammas = (g for mask, on in by_support.items()
                   if _canonical_support(mask, parts) for g in on)
-        out.extend(_classes_for_type(_type_context(parts), gammas))
-    return out
+        alphas[parts] = _alphas_for_type(ctx, gammas)
+        # the quarter turn (alpha, beta0) -> (beta0^-1, alpha) of a class
+        # whose alpha has an unscanned type; with f fixed points alpha has
+        # at most f + (d - f) // 2 cycles, so most alphas need no layout
+        turn = inverse(ctx.rep)
+        for alpha in alphas[parts]:
+            fixed = sum(map(eq, alpha, range(degree)))
+            if 2 * (fixed + (degree - fixed) // 2) <= degree + 1:
+                continue
+            a_parts, t = cycle_layout(alpha)
+            if not _scanned(a_parts):
+                alphas.setdefault(a_parts, []).append(
+                    _min_conjugate(conjugate(t, turn), a_parts))
+    return [CoverClass(a, _type_context(parts).rep)
+            for parts in partitions(degree) for a in sorted(alphas.get(parts, ()))]
 
 
 # ---------------------------------------------------------------------------

@@ -671,7 +671,19 @@ def test_unwritable_output_is_exit_2(argv, tmp_path, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: cannot write --output ")
+    # quoted, so that the empty path shows as ''
+    assert err.startswith(f"error: cannot write --output {argv[-1]!r}: ")
+
+
+@pytest.mark.parametrize("command", ["counts", "sweep"])
+def test_empty_cache_dir_is_exit_2(command, tmp_path, capsys, monkeypatch):
+    # an empty --cache-dir is bad input, not "no cache"
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--d", "3", "--sigma", "3", "--cache-dir", ""]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: --cache-dir must name a directory, not ''"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_burnside_with_trivial_sigma_is_exit_2(capsys):

@@ -3,6 +3,7 @@ S_d x S_d, keep the transitive pairs with the right commutator class, and
 bucket them into simultaneous-conjugation orbits by brute force.  The
 library must agree with it exactly on every count."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from toruscovers.covers import (
     origami_key,
     period_lattice_index,
 )
+from toruscovers.formulas import closed_N_M
 from toruscovers.perms import (
     centralizer_elements,
     class_elements,
@@ -160,6 +162,63 @@ def test_enumeration_types_gammas_on_canonical_supports_only(monkeypatch):
     classes = enumerate_classes(9, RamificationProfile.of(9, "5"))
     assert len(classes) == 4550
     assert len(calls) < 10_000
+
+
+def _agreed_least_conjugate(alpha, ctx):
+    """Both canonicalizers on one alpha of beta = ctx.rep, which must agree."""
+    got = covers._min_conjugate(alpha, ctx.parts)
+    assert got == covers._min_over_elements(alpha, ctx), (ctx.parts, alpha)
+    return got
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_min_conjugate_matches_centralizer_scan(d):
+    # the backtrack gives the scan's least conjugate on every class and on
+    # one random simultaneous conjugate of it: every beta type at d <= 7,
+    # the types reached only by the quarter turn at d = 8
+    rng = random.Random(d)
+    classes = (_oracle_classes(d, tuple(partitions(d))) if d < 8 else
+               [c for sigma in partitions(d)
+                for c in enumerate_classes(d, RamificationProfile.of(d, sigma))
+                if not covers._scanned(c.beta_type)])
+    for c in classes:
+        ctx = _type_context(c.beta_type)
+        t = tuple(rng.sample(range(d), d))
+        u = cycle_layout(conjugate(t, c.beta))[1]
+        alpha = conjugate(u, conjugate(t, c.alpha))  # beta relabelled to ctx.rep
+        assert _agreed_least_conjugate(c.alpha, ctx) == c.alpha
+        assert _agreed_least_conjugate(alpha, ctx) == c.alpha
+    assert len(classes) == {1: 1, 2: 3, 3: 7, 4: 26, 5: 97, 6: 624, 7: 4163, 8: 1265}[d]
+
+
+# sha256 of the "{profile} {class}" lines of d=10 lists that are too long
+# for the golden corpus, frozen from the enumeration that walked the cosets
+# of every beta type
+D10_DIGESTS = {
+    "3": (297, "9c6d563b9585fd738e27d8bb9e3faea3ffc5f8bd4fe1bb77817509340288eb50"),
+    "2,2": (1032, "7aee705ac625267fbb42b858380423df8b9863026bb08f7e6ebfa03edd465e69"),
+    "5": (8470, "8da6df645e88d13bed50ebe27d66a9a6636ec4b227064e40958230f36361a927"),
+    "1": (18, "46eb6e7c1ab75f7f6bfbd75b487e6b5a19a0b75db60674ba5d766935ad4297f5"),
+}
+
+
+@pytest.mark.parametrize("sigma", sorted(D10_DIGESTS))
+def test_degree_10_lists_match_the_full_scan(sigma):
+    prof = RamificationProfile.of(10, sigma)
+    classes = enumerate_classes(10, prof, max_degree=10)
+    text = "".join(f"{prof} {c}\n" for c in classes)
+    assert (len(classes), hashlib.sha256(text.encode()).hexdigest()) == D10_DIGESTS[sigma]
+
+
+def test_enumeration_reaches_past_degree_9():
+    # a commuting transitive pair is an index-d sublattice of Z^2, and
+    # there are sigma_1(d) of them
+    for d in range(1, 11):
+        classes = enumerate_classes(d, RamificationProfile.of(d, "1"), max_degree=10)
+        assert len(classes) == sum(k for k in range(1, d + 1) if d % k == 0), d
+    for sigma, family in (("3", "g2_31"), ("2,2", "g2_22")):
+        table = count_table(11, RamificationProfile.of(11, sigma), max_degree=11)
+        assert (table.N, table.M) == closed_N_M(11, family), sigma
 
 
 def _raw_weighted_counts(d, prof):
