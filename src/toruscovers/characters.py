@@ -10,7 +10,10 @@ because the number of alpha solving alpha beta alpha^-1 = g beta is the
 centralizer order whenever g beta stays in P, and zero otherwise.  That
 last observation also gives a second, character-free way to compute the
 same number (the "convolution" method below), which the tests play off
-against the first.
+against the first.  Either way one pass serves every class P at once, so
+both methods build one table of Nhat per commutator class T, memoized on
+T: the convolution table streams T's elements once, the character-sum table
+visits each irreducible once and sums in integers.
 
 The transitive weighted counts Ntilde (covers.aut_weighted_counts) assemble
 into a generating series Ztilde, graded by (beta type, k); the series of
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .covers import (
@@ -44,8 +48,13 @@ from .perms import (
 Key = tuple[Partition, int]
 
 # largest degree of a full character table, which holds p(d)^2
-# Murnaghan-Nakayama values (53,361 at d = 16, 148,225 at d = 18)
+# Murnaghan-Nakayama values (53,361 at d = 16, 148,225 at d = 18); a
+# character-sum table reads the same values
 MAX_TABLE_DEGREE = 16
+
+# largest degree of a convolution table, which composes each of the p(d)
+# class representatives with every element of the commutator class
+MAX_CONVOLUTION_DEGREE = 10
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +119,10 @@ def character_degree(shape: Sequence[int]) -> int:
     for i, row in enumerate(s):
         for j in range(row):
             product *= row - j + conj[j] - i - 1
-    value = Fraction(factorial(d), product)
-    if value.denominator != 1:
+    value, rest = divmod(factorial(d), product)
+    if rest:
         raise ConsistencyError("hook product does not divide d!")
-    return int(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -188,35 +197,69 @@ def disconnected_count(
     """Number of pairs (alpha, beta) with beta of the given cycle type
     and commutator of type (2^k 1^(d-2k)) -- no transitivity required.
 
-    `characters` evaluates the Frobenius-style sum over the character
-    table; `convolution` counts directly how many tau-class elements g
-    keep g*beta0 in beta's class, which scales with the tau class size
-    instead of the number of irreducibles.
+    Both methods fill, on first use, one table of the counts of every beta
+    type for the commutator class and read the count from it.
+    `characters` evaluates the Frobenius-style sum over the irreducibles
+    (degree at most MAX_TABLE_DEGREE); `convolution` counts directly how
+    many tau-class elements g keep g*beta0 in beta's class, one pass over
+    the tau class for all types (degree at most MAX_CONVOLUTION_DEGREE).
     """
     p = as_partition(parts, degree)
     tau = tau_type(degree, k)
-    if method == "characters":
-        total = Fraction(0)
-        for shape in partitions(degree):
-            mask = _abacus(shape, degree)
+    if method not in _COUNT_TABLES:
+        raise ValueError(f"unknown method {method!r}")
+    return _COUNT_TABLES[method](tau)[p]
+
+
+@lru_cache(maxsize=None)
+def _character_counts(tau: Partition) -> Mapping[Partition, int]:
+    """Nhat of every beta type for the commutator class tau, by the
+    character sum: each shape's degree is computed once, shapes vanishing
+    on tau are skipped, and the sum is taken over the common denominator
+    d! in integers."""
+    degree = sum(tau)
+    check_capacity(degree, MAX_TABLE_DEGREE, "character-table degree")
+    fact = factorial(degree)
+    types = partitions(degree)
+    sums = dict.fromkeys(types, 0)
+    for shape in types:
+        mask = _abacus(shape, degree)
+        chi_tau = _mn(mask, tau)
+        if not chi_tau:
+            continue
+        hooks, rest = divmod(fact, character_degree(shape))
+        if rest:
+            raise ConsistencyError("character degree does not divide d!")
+        weight = chi_tau * hooks
+        for p in types:
             chi_p = _mn(mask, p)
-            if chi_p:
-                total += Fraction(
-                    chi_p * chi_p * _mn(mask, tau), character_degree(shape)
-                )
-        total *= class_size(p) * class_size(tau)
-        if total.denominator != 1:
+            sums[p] += chi_p * chi_p * weight
+    counts = {}
+    for p, total in sums.items():
+        counts[p], rest = divmod(class_size(p) * class_size(tau) * total, fact)
+        if rest:
             raise ConsistencyError("character sum is not an integer")
-        return int(total)
-    if method == "convolution":
-        beta0 = type_rep(p)
-        hits = sum(
-            1
-            for g in class_elements(tau)
-            if cycle_type(compose(g, beta0)) == p
-        )
-        return factorial(degree) * hits
-    raise ValueError(f"unknown method {method!r}")
+    return MappingProxyType(counts)
+
+
+@lru_cache(maxsize=None)
+def _convolution_counts(tau: Partition) -> Mapping[Partition, int]:
+    """Nhat of every beta type for the commutator class tau, from one pass
+    over the class: d! times the number of its elements g with g*beta0 in
+    beta0's class, beta0 = type_rep(type)."""
+    degree = sum(tau)
+    check_capacity(degree, MAX_CONVOLUTION_DEGREE, "convolution-table degree")
+    reps = [(p, type_rep(p)) for p in partitions(degree)]
+    hits = dict.fromkeys(partitions(degree), 0)
+    for g in class_elements(tau):
+        for p, beta0 in reps:
+            if cycle_type(compose(g, beta0)) == p:
+                hits[p] += 1
+    fact = factorial(degree)
+    return MappingProxyType({p: fact * n for p, n in hits.items()})
+
+
+_COUNT_TABLES = {"characters": _character_counts, "convolution": _convolution_counts}
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +334,7 @@ def build_generating_functions(d_max: int) -> tuple[GenSeries, GenSeries]:
     for d in range(1, d_max + 1):
         fact = factorial(d)
         for k in range(0, d // 2 + 1):
-            for parts in partitions(d):
-                nhat = disconnected_count(d, k, parts)
+            for parts, nhat in _character_counts(tau_type(d, k)).items():
                 if nhat:
                     zhat[(parts, k)] = Fraction(nhat, fact)
             prof = RamificationProfile.of(d, [2] * k)  # odd k admits no covers

@@ -37,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import gcd
 from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence
@@ -577,12 +578,25 @@ def enumerate_classes(
     check_capacity(degree, max_degree)
     if not profile.admits_covers:
         return []
+    # sigma's class on the supports some scanned beta type reads: the
+    # gammas moving exactly the points of a mask are one fixed-point-free
+    # pattern relabelled onto them
+    moved = tuple(part for part in profile.parts if part > 1)
+    patterns = list(class_elements(moved))
+    scanned = list(filter(_scanned, partitions(degree)))
     by_support: dict[int, list[Perm]] = {}
-    for gamma in class_elements(profile.parts, degree):
-        mask = sum(1 << x for x, y in enumerate(gamma) if x != y)
-        by_support.setdefault(mask, []).append(gamma)
+    for points in combinations(range(degree), sum(moved)):
+        mask = sum(1 << x for x in points)
+        if not any(_canonical_support(mask, parts) for parts in scanned):
+            continue
+        on = by_support[mask] = []
+        for q in patterns:
+            gamma = list(range(degree))
+            for x, y in zip(points, q):
+                gamma[x] = points[y]
+            on.append(tuple(gamma))
     alphas: dict[Partition, list[Perm]] = {}
-    for parts in filter(_scanned, partitions(degree)):
+    for parts in scanned:
         ctx = _type_context(parts)
         gammas = (g for mask, on in by_support.items()
                   if _canonical_support(mask, parts) for g in on)

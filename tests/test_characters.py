@@ -5,7 +5,9 @@ from math import factorial
 
 import pytest
 
+from toruscovers import characters
 from toruscovers.characters import (
+    MAX_CONVOLUTION_DEGREE,
     MAX_TABLE_DEGREE,
     CharacterTable,
     build_generating_functions,
@@ -16,7 +18,12 @@ from toruscovers.characters import (
     series_log,
     tau_type,
 )
-from toruscovers.covers import CapacityError, RamificationProfile, aut_weighted_counts
+from toruscovers.covers import (
+    CapacityError,
+    ConsistencyError,
+    RamificationProfile,
+    aut_weighted_counts,
+)
 from toruscovers.perms import (
     commutator,
     cycle_type,
@@ -173,14 +180,86 @@ def test_tau_type():
 
 
 def test_disconnected_count_methods_agree():
-    for d in (3, 4, 5):
-        for k in (0, 1, 2):
-            if 2 * k > d:
-                continue
+    for d in range(1, 10):
+        for k in range(d // 2 + 1):
             for parts in partitions(d):
                 a = disconnected_count(d, k, parts, method="characters")
                 b = disconnected_count(d, k, parts, method="convolution")
-                assert a == b
+                assert a == b, (d, k, parts)
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty count tables before and after the test, so tables filled
+    under a patch do not reach other tests."""
+    tables = (characters._character_counts, characters._convolution_counts)
+    for table in tables:
+        table.cache_clear()
+    yield
+    for table in tables:
+        table.cache_clear()
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    original = getattr(characters, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(characters, name, counted)
+    return calls
+
+
+def test_one_table_serves_every_beta_type(monkeypatch, cold_tables):
+    streams = _counted(monkeypatch, "class_elements")
+    degrees = _counted(monkeypatch, "character_degree")
+    d, k = 7, 2
+    for parts in partitions(d):
+        for method in ("characters", "convolution"):
+            disconnected_count(d, k, parts, method=method)
+    assert streams == [(tau_type(d, k),)]
+    shapes = [shape for (shape,) in degrees]
+    assert len(shapes) == len(set(shapes)) <= len(partitions(d))
+    # the series reads one table per (d, k) as well
+    degrees.clear()
+    build_generating_functions(5)
+    assert len(degrees) <= sum(
+        len(partitions(d)) * (d // 2 + 1) for d in range(1, 6)
+    )
+
+
+@pytest.mark.parametrize(
+    "d, k, shape, factor, message",
+    [(5, 0, (5,), 2, "character sum is not an integer"),
+     (4, 0, (3, 1), 3, "character degree does not divide d!")],
+)
+def test_wrong_degree_fails_the_character_table(
+        monkeypatch, cold_tables, d, k, shape, factor, message):
+    original = characters.character_degree
+
+    def wrong(s):
+        return original(s) * (factor if s == shape else 1)
+
+    monkeypatch.setattr(characters, "character_degree", wrong)
+    with pytest.raises(ConsistencyError, match=f"^{message}$"):
+        disconnected_count(d, k, (1,) * d)
+
+
+def test_count_tables_past_their_bounds_raise_before_any_work(monkeypatch):
+    assert MAX_CONVOLUTION_DEGREE == 10
+    streams = _counted(monkeypatch, "class_elements")
+    with pytest.raises(
+        CapacityError, match="^convolution-table degree 11 exceeds its bound 10$"
+    ):
+        disconnected_count(11, 1, [11], method="convolution")
+    assert streams == []
+    with pytest.raises(
+        CapacityError, match="^character-table degree 17 exceeds its bound 16$"
+    ):
+        disconnected_count(17, 1, [17])
+    assert disconnected_count(16, 0, [16]) == factorial(16)
 
 
 def test_disconnected_count_against_raw_double_loop():
