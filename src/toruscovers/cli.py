@@ -50,7 +50,7 @@ EXIT_CAPACITY = 3
 EXIT_CACHE = 4
 EXIT_INTERNAL = 5
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 class CacheError(RuntimeError):
@@ -59,15 +59,16 @@ class CacheError(RuntimeError):
 
 @dataclass
 class ResultCache:
-    """Append-only JSONL store.  One record per line: {"key": .., "value": ..}.
-    Keys are compared as sorted JSON text; values keep their field order,
-    so a hit prints the same bytes as the computation it replays.  The
-    file is read at most once per instance, on the first get; the last
-    record for a key wins and torn or stale lines are skipped.  Each put
-    appends one line and updates what was read."""
+    """Append-only JSONL store, one record per line:
+    ``{"key": <key as sorted JSON text>, "value": <value as JSON text>}``.
+    Values keep their field order, so a hit prints the bytes it replays.
+    The file is read once per instance, on the first get, as raw byte
+    lines; a get decodes only lines that start with its key's prefix,
+    newest first, so the last complete record wins and torn, non-UTF-8
+    and stale lines are skipped.  A put appends and joins what was read."""
 
     path: Path
-    _records: Optional[dict] = field(default=None, init=False, repr=False)
+    _lines: Optional[list[bytes]] = field(default=None, init=False, repr=False)
 
     @classmethod
     def at(cls, directory: os.PathLike) -> "ResultCache":
@@ -79,32 +80,32 @@ class ResultCache:
         return cls(d / "results.jsonl")
 
     @staticmethod
-    def _key_text(key: dict) -> str:
-        return json.dumps(key, sort_keys=True)
+    def _prefix(key: dict) -> str:
+        return '{"key": ' + json.dumps(key, sort_keys=True) + ', "value": '
 
-    def _read(self) -> dict:
-        records: dict[str, dict] = {}
+    def _read(self) -> list[bytes]:
         if not self.path.exists():
-            return records
+            return []
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    try:
-                        rec = json.loads(line)
-                        records[self._key_text(rec["key"])] = rec["value"]
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        continue  # blank, torn or stale line
+            with open(self.path, "rb") as fh:
+                return fh.read().split(b"\n")
         except OSError as e:
             raise CacheError(f"cannot read cache {self.path}: {e}") from e
-        return records
 
     def get(self, key: dict) -> Optional[dict]:
-        if self._records is None:
-            self._records = self._read()
-        return self._records.get(self._key_text(key))
+        if self._lines is None:
+            self._lines = self._read()
+        prefix = self._prefix(key).encode()
+        for line in reversed(self._lines):
+            if line.startswith(prefix):
+                try:
+                    return json.loads(line)["value"]
+                except ValueError:
+                    continue  # torn or not UTF-8; an older record may hold
+        return None
 
     def put(self, key: dict, value: dict) -> None:
-        line = json.dumps({"key": key, "value": value})
+        line = (self._prefix(key) + json.dumps(value) + "}").encode()
         try:
             with open(self.path, "a+b") as fh:
                 # a writer that died mid-line leaves no newline; start fresh
@@ -115,11 +116,11 @@ class ResultCache:
                     fh.seek(-1, os.SEEK_END)
                     if fh.read(1) != b"\n":
                         prefix = b"\n"
-                fh.write(prefix + (line + "\n").encode("utf-8"))
+                fh.write(prefix + line + b"\n")
         except OSError as e:
             raise CacheError(f"cannot write cache {self.path}: {e}") from e
-        if self._records is not None:
-            self._records[self._key_text(key)] = value
+        if self._lines is not None:
+            self._lines.append(line)
 
 
 def _holds(value, fields) -> bool:

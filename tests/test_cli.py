@@ -630,10 +630,70 @@ def test_cache_tolerates_torn_lines(tmp_path):
     cache.put({"d": 3}, {"N": 1})
     with open(cache.path, "a", encoding="utf-8") as fh:
         fh.write('{"key": {"d": 4}, "value": {"N"')  # crash mid-write
+    # the newest record for d=6 is torn mid-value: the one before it wins
+    cache.put({"d": 6}, {"N": 6})
+    with open(cache.path, "a", encoding="utf-8") as fh:
+        fh.write('{"key": {"d": 6}, "value": {"N": 7')
     cache.put({"d": 5}, {"N": 9})
     assert cache.get({"d": 3}) == {"N": 1}
     assert cache.get({"d": 4}) is None
     assert cache.get({"d": 5}) == {"N": 9}
+    assert cache.get({"d": 6}) == {"N": 6}
+    # version 2 wrote keys in insertion order; such a line is a miss at
+    # any version, recomputed and stored once
+    key = cli._cache_key("sweep", 3, "3")
+    path = tmp_path / "v2.jsonl"
+    path.write_text("".join(
+        json.dumps({"key": dict(key, version=v), "value": {"N": 0}}) + "\n"
+        for v in (2, CACHE_VERSION)
+    ))
+    computed = []
+
+    def compute():
+        computed.append(1)
+        return {"N": 3}
+
+    for hit in (False, True):
+        value = cli._cached(ResultCache(path), key, bool, compute)
+        assert value == ({"N": 3}, hit)
+    assert len(computed) == 1
+    assert len(path.read_text().splitlines()) == 3
+
+
+def test_cache_get_decodes_one_record(tmp_path, monkeypatch):
+    cache = ResultCache.at(tmp_path)
+    for d in range(200):
+        cache.put(cli._cache_key("counts/brute", d, [3]), {"N": d})
+    loads, decoded = json.loads, []
+
+    def counting_loads(*args, **kwargs):
+        decoded.append(1)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    cache = ResultCache(cache.path)
+    assert cache.get(cli._cache_key("counts/brute", 57, [3])) == {"N": 57}
+    assert len(decoded) == 1
+    assert cache.get(cli._cache_key("counts/brute", 200, [3])) is None
+    assert len(decoded) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "--d", "5", "--sigma", "3"],
+    ["sweep", "--d", "5", "--sigma", "3"],
+], ids=["counts", "sweep"])
+def test_cache_line_that_is_not_utf8_is_skipped(argv, tmp_path, capsys):
+    _, uncached, _ = run(argv, capsys)
+    argv = argv + ["--cache-dir", str(tmp_path)]
+    run(argv, capsys)
+    path = tmp_path / "results.jsonl"
+    good = path.read_bytes()
+    for text in (good + b"\xff garbage\n", b"\xff garbage\n" + good):
+        path.write_bytes(text)
+        code, out, err = run(argv, capsys)
+        assert code == 0 and out == uncached and "error" not in err
+        # served from the valid record: nothing recomputed or appended
+        assert path.read_bytes() == text
 
 
 def test_sweep_reads_the_cache_file_once(tmp_path, capsys, monkeypatch):
