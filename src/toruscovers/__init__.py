@@ -22,7 +22,6 @@ from .geometry import (
     SlopeResult,
     component_slope,
     curve_invariants,
-    full_report,
     genus_from_orbits,
     slope,
     slope_from_counts,
@@ -48,7 +47,6 @@ __all__ = [
     "cylinders",
     "decompose",
     "enumerate_classes",
-    "full_report",
     "genus_from_orbits",
     "render",
     "slope",

@@ -708,7 +708,9 @@ def cmd_origami_render(args) -> int:
     pick = "/".join(f"--{o}" for o in ("sigma", "index") if vars(args)[o] is not None)
     if pair and pick:
         raise ValueError(f"{pair} cannot be given with {pick}")
-    if args.alpha is not None and args.beta is not None:
+    if pair in ("--alpha", "--beta"):
+        raise ValueError(f"{pair} needs {'--beta' if pair == '--alpha' else '--alpha'}")
+    if pair:
         # a connected surface of degree >= 2 moves every square, and the
         # two strings name at most as many squares as they have characters
         if args.d > max(1, len(args.alpha) + len(args.beta)):

@@ -14,6 +14,9 @@ degree N, branched only over the 12 nodal points, where the sheets above
 each of them are the orbits of the local twist.  Riemann-Hurwitz then
 pins the genus, and each local orbit carries a cyclic automorphism group
 of order lcm(beta type) / orbit size, giving the orbifold points.
+
+Every function here reads the class list or decomposition it is handed;
+``covers.enumerate_classes`` and ``monodromy.decompose`` build those.
 """
 from __future__ import annotations
 
@@ -23,15 +26,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .covers import (
-    DEFAULT_MAX_DEGREE,
-    ConsistencyError,
-    CoverClass,
-    CountsTable,
-    RamificationProfile,
-    enumerate_classes,
-)
-from .monodromy import OrbitDecomposition, decompose
+from .covers import ConsistencyError, CoverClass, CountsTable, RamificationProfile
+from .monodromy import OrbitDecomposition
 
 N_DEGENERATE_FIBERS = 12
 
@@ -188,34 +184,3 @@ def component_rows(
         )
     rows.sort(key=lambda r: (r["size"], r["slope"]))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# combined report
-
-
-def full_report(
-    degree: int, profile: RamificationProfile, max_degree: int = DEFAULT_MAX_DEGREE
-) -> dict:
-    """Everything about one (d, sigma): counts, slope, genus, orbifold
-    data and the per-component breakdown, JSON-ready."""
-    classes = enumerate_classes(degree, profile, max_degree=max_degree)
-    if not classes:
-        return {
-            "d": degree,
-            "sigma": list(profile.parts),
-            "N": 0,
-            "note": "no covers",
-        }
-    dec = decompose(degree, profile, classes)
-    s = component_slope(profile, classes)
-    inv = curve_invariants(dec)
-    return {
-        "d": degree,
-        "sigma": list(profile.parts),
-        "N": s.N,
-        "M": str(s.M),
-        "slope": s.as_dict(),
-        **inv.as_dict(),
-        "components": component_rows(profile, dec),
-    }

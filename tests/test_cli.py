@@ -90,6 +90,14 @@ def test_enumerate_table(capsys):
     assert out.strip().splitlines()[-1] == "total 3"
 
 
+def test_enumerate_csv_of_no_classes_prints_nothing(capsys):
+    # sigma = (2) is odd, so d=3 has no cover classes
+    code, out, err = run(
+        ["enumerate", "--d", "3", "--sigma", "2", "--format", "csv"], capsys
+    )
+    assert (code, out, err) == (0, "", "")
+
+
 def test_slope_json(capsys):
     code, out, _ = run(
         ["slope", "--d", "5", "--sigma", "5", "--format", "json"], capsys
@@ -436,6 +444,17 @@ def test_origami_render_refuses_a_surface_named_two_ways(extra, pair, pick, caps
 
 
 @pytest.mark.parametrize(
+    "given,partner",
+    [(["--alpha", "(1 2 3)"], "--beta"), (["--beta", "(1 2 3)"], "--alpha")],
+    ids=["alpha-alone", "beta-alone"],
+)
+def test_origami_render_names_the_missing_half_of_a_pair(given, partner, capsys):
+    code, out, err = run(["origami", "render", "--d", "3", *given], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {given[0]} needs {partner}\n"
+
+
+@pytest.mark.parametrize(
     "given,spelled",
     [
         (["--d", "2", "--alpha", "(1 2)", "--beta", ""],
@@ -744,6 +763,30 @@ def test_empty_cache_dir_is_exit_2(command, tmp_path, capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.splitlines() == ["error: --cache-dir must name a directory, not ''"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["counts", "sweep"])
+def test_cache_dir_that_is_a_file_is_exit_4(command, tmp_path, capsys):
+    path = tmp_path / "file"
+    path.write_text("")
+    argv = [command, "--d", "3", "--sigma", "3", "--cache-dir", str(path)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: cannot create cache dir {path}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["counts", "sweep"])
+def test_unwritable_cache_file_is_exit_4(command, tmp_path, capsys):
+    # a dangling link into a missing directory cannot be appended to, even
+    # by a user whom permission bits do not stop
+    path = tmp_path / "results.jsonl"
+    path.symlink_to(tmp_path / "missing" / "results.jsonl")
+    argv = [command, "--d", "3", "--sigma", "3", "--cache-dir", str(tmp_path)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: cannot write cache {path}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_burnside_with_trivial_sigma_is_exit_2(capsys):

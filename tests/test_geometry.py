@@ -11,7 +11,6 @@ from toruscovers.geometry import (
     component_slope,
     curve_invariants,
     euler_orbifold,
-    full_report,
     genus_from_orbits,
     orbifold_points,
     slope,
@@ -135,19 +134,6 @@ def test_per_component_invariants_sum_consistently():
         len(comp): curve_invariants(dec, comp).genus for comp in dec.components
     }
     assert genera == {3: 4, 10: 33, 12: 31, 15: 52}
-
-
-def test_full_report_shape_and_values():
-    rep = full_report(3, RamificationProfile.of(3, "3"))
-    assert rep["d"] == 3
-    assert rep["N"] == 3
-    assert rep["slope"]["slope"] == "10"
-    assert rep["genus"] == 4
-    assert rep["chi"] == "-14"
-    assert rep["orbifold"] == [{"order": 3, "count": 1}]
-    assert len(rep["components"]) == 1
-    comp = rep["components"][0]
-    assert comp["size"] == 3 and comp["slope"] == "10" and comp["primitive"]
 
 
 def test_component_rows_reject_a_component_mixing_primitive_and_pulled_back_covers(

@@ -19,7 +19,7 @@ from unittest import mock
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from toruscovers import cli, geometry, monodromy, origami
+from toruscovers import cli, monodromy, origami
 from toruscovers.covers import RamificationProfile, enumerate_classes
 from toruscovers.perms import partitions
 
@@ -40,15 +40,27 @@ _PER_FORMAT = [
     ("counts", 7, "5", ["--method", "formula"]),
     ("slope", 6, "3", []),
     ("slope", 7, "2,2", []),
+    ("slope", 5, "3", []),
+    ("slope", 5, "2,2", []),
+    ("slope", 5, "5", []),
+    ("slope", 6, "2,2", []),
     ("components", 5, "5", []),
     ("components", 7, "3", []),
     ("components", 7, "2,2", []),
+    ("components", 5, "3", []),
+    ("components", 5, "2,2", []),
+    ("components", 6, "3", []),
+    ("components", 6, "2,2", []),
     ("components", 6, "3", ["--genus", "2"]),
     ("components", 5, "5", ["--genus", "3"]),
     ("components", 5, "5", ["--genus", "2"]),  # mismatch: exit 2, no stdout
     ("genus", 5, "3", []),
     ("genus", 7, "2,2", []),
     ("genus", 6, "4,2", []),
+    ("genus", 5, "2,2", []),
+    ("genus", 5, "5", []),
+    ("genus", 6, "3", []),
+    ("genus", 6, "2,2", []),
     ("orbifold", 6, "2,2", []),
     ("orbifold", 7, "3", []),
 ]
@@ -87,7 +99,8 @@ _HELP = [
                     "probe-g3", "origami", "origami render")
 ]
 
-# (d, sigma) for the library part
+# (d, sigma) for the library part; slope, components and genus run on
+# each of these in every format above
 _LIBRARY = [(5, "3"), (5, "2,2"), (5, "5"), (6, "3"), (6, "2,2")]
 
 # every class list up to this degree is pinned class for class: 66 lists
@@ -133,8 +146,6 @@ def library_digests() -> dict[str, str]:
         prof = RamificationProfile.of(d, sigma)
         classes = enumerate_classes(d, prof)
         tag = f"d={d} sigma={sigma}"
-        out[f"full_report {tag}"] = json.dumps(
-            geometry.full_report(d, prof), sort_keys=True)
         out[f"action_graph_dot {tag}"] = monodromy.action_graph_dot(classes)
         out[f"involution_pairs {tag}"] = json.dumps(
             monodromy.involution_pairs(classes))
@@ -153,6 +164,13 @@ def _mismatches(got: dict, want: dict) -> list[str]:
 def test_cli_stdout_matches_golden():
     want = json.loads(DIGESTS.read_text())["cli"]
     assert _mismatches(cli_digests(), want) == []
+
+
+def test_per_format_cases_cover_every_library_pair():
+    for command in ("slope", "components", "genus"):
+        plain = {(d, sigma) for c, d, sigma, extra in _PER_FORMAT
+                 if c == command and not extra}
+        assert set(_LIBRARY) <= plain, command
 
 
 def test_library_output_matches_golden():

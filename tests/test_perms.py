@@ -54,6 +54,12 @@ def test_parse_and_print_round_trip():
     assert cycle_string(identity(4)) == "()"
 
 
+def test_parse_reads_the_compact_digit_form_and_skips_empty_cycles():
+    assert parse_cycles("(15)(23)") == parse_cycles("(1 5)(2 3)") == (4, 2, 1, 3, 0)
+    assert parse_cycles("(15)(23)", 7) == parse_cycles("(1 5)(2 3)", 7)
+    assert parse_cycles("(1 2)()", 3) == parse_cycles("(1 2)", 3)
+
+
 def test_parse_rejects_bad_input():
     with pytest.raises(ValueError):
         parse_cycles("(1 1 2)", 3)
@@ -61,6 +67,9 @@ def test_parse_rejects_bad_input():
         parse_cycles("(1 2", 3)
     with pytest.raises(ValueError):
         parse_cycles("(1 5)", 3)
+    for text in ("(0 1)", "(01)"):
+        with pytest.raises(ValueError, match="points are 1-based and positive"):
+            parse_cycles(text, 3)
 
 
 def test_cycles_include_fixed_points_min_first():
