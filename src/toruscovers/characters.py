@@ -144,30 +144,6 @@ class CharacterTable:
         degrees = {s: character_degree(s) for s in shapes}
         return cls(degree, shapes, values, degrees)
 
-    def row_orthogonal(self) -> bool:
-        n = factorial(self.degree)
-        for a in self.shapes:
-            for b in self.shapes:
-                total = sum(
-                    class_size(c) * self.values[a, c] * self.values[b, c]
-                    for c in self.shapes
-                )
-                if total != (n if a == b else 0):
-                    return False
-        return True
-
-    def column_orthogonal(self) -> bool:
-        n = factorial(self.degree)
-        for a in self.shapes:
-            for b in self.shapes:
-                total = sum(
-                    self.values[s, a] * self.values[s, b] for s in self.shapes
-                )
-                want = n // class_size(a) if a == b else 0
-                if total != want:
-                    return False
-        return True
-
     def to_csv(self) -> str:
         out = io.StringIO()
         head = ["shape"] + ["|".join(map(str, c)) for c in self.shapes]

@@ -594,6 +594,11 @@ def cmd_verify(args) -> int:
         bad = [p for p in primes if not formulas.is_prime(p)]
         if bad:
             raise ValueError(f"--primes must be prime, got {bad}")
+        low = formulas.family_min_degree(args.family)
+        small = [p for p in primes if p < low]
+        if small:
+            raise ValueError(f"--primes entry {small[0]} is below the least "
+                             f"degree {low} of family {args.family}")
     bundles = {
         "family": lambda: verify_family(args.family, primes),
         "appendix": verify_appendix,

@@ -581,11 +581,10 @@ def enumerate_classes(
     # sigma's class on the supports some scanned beta type reads: the
     # gammas moving exactly the points of a mask are one fixed-point-free
     # pattern relabelled onto them
-    moved = tuple(part for part in profile.parts if part > 1)
-    patterns = list(class_elements(moved))
+    patterns = list(class_elements(profile.nontrivial_parts))
     scanned = list(filter(_scanned, partitions(degree)))
     by_support: dict[int, list[Perm]] = {}
-    for points in combinations(range(degree), sum(moved)):
+    for points in combinations(range(degree), sum(profile.nontrivial_parts)):
         mask = sum(1 << x for x in points)
         if not any(_canonical_support(mask, parts) for parts in scanned):
             continue
@@ -626,7 +625,6 @@ class CountsTable:
     """Class counts N_type per beta cycle type, with the derived totals
     N = sum N_type and M = sum weight(type) * N_type (exact rational)."""
 
-    degree: int
     profile: RamificationProfile
     by_type: tuple[tuple[Partition, int], ...]  # sorted reverse-lex, nonzero only
 
@@ -634,7 +632,7 @@ class CountsTable:
     def of(cls, profile: RamificationProfile,
            counts: dict[Partition, int]) -> CountsTable:
         """The table of ``counts``, nonzero class counts keyed by beta type."""
-        return cls(profile.degree, profile, tuple(sorted(counts.items(), reverse=True)))
+        return cls(profile, tuple(sorted(counts.items(), reverse=True)))
 
     @property
     def N(self) -> int:
@@ -646,7 +644,7 @@ class CountsTable:
 
     def as_dict(self) -> dict:
         return {
-            "d": self.degree,
+            "d": self.profile.degree,
             "sigma": list(self.profile.parts),
             "types": [
                 {"type": list(t), "n": n, "weight": str(type_weight(t))}

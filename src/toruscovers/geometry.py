@@ -101,14 +101,11 @@ class OrbifoldPoint:
 
 
 def orbifold_points(
-    decomposition: OrbitDecomposition,
-    orbits: Optional[Sequence[Sequence[int]]] = None,
+    decomposition: OrbitDecomposition, orbits: Sequence[Sequence[int]]
 ) -> list[OrbifoldPoint]:
     """Orbifold points per degenerate fiber: each local orbit carries the
     cyclic group of order lcm(beta type)/orbit size; orders > 1 are
     reported, aggregated by order."""
-    if orbits is None:
-        orbits = decomposition.local_orbits
     tally: dict[int, int] = {}
     for orbit in orbits:
         parts = decomposition.classes[orbit[0]].beta_type
@@ -153,14 +150,11 @@ def curve_invariants(
     """Genus, orbifold points and orbifold Euler characteristic of the
     whole curve, or of one component if given."""
     if component is None:
-        n = len(decomposition.classes)
-        orbits: Sequence[Sequence[int]] = decomposition.local_orbits
-    else:
-        n = len(component)
-        orbits = decomposition.orbits_in_component(component)
-    if n == 0:
+        component = tuple(range(len(decomposition.classes)))
+    if not component:
         return CurveInvariants(None, (), None)
-    g = genus_from_orbits(n, orbits)
+    orbits = decomposition.orbits_in_component(component)
+    g = genus_from_orbits(len(component), orbits)
     pts = orbifold_points(decomposition, orbits)
     return CurveInvariants(g, tuple(pts), euler_orbifold(g, pts))
 

@@ -128,11 +128,6 @@ def sign(p: Perm) -> int:
     return -1 if (len(p) - len(cycles(p))) % 2 else 1
 
 
-def partition_sign(parts: Partition) -> int:
-    """Sign of any permutation with the given cycle type."""
-    return -1 if sum(l - 1 for l in parts) % 2 else 1
-
-
 # ---------------------------------------------------------------------------
 # cycle notation
 
@@ -294,14 +289,14 @@ def type_rep(parts: Partition) -> Perm:
     return tuple(out)
 
 
-def class_elements(parts: Partition, degree: Optional[int] = None) -> Iterator[Perm]:
+def class_elements(parts: Partition) -> Iterator[Perm]:
     """Yield every permutation with the given cycle type exactly once.
 
     The cycle containing the smallest unplaced point is chosen first, so
     each permutation has a unique construction path; trying each distinct
     remaining length once avoids duplicates among equal-length cycles.
     """
-    lengths = as_partition(parts, degree)
+    lengths = as_partition(parts)
     d = sum(lengths)
     acc: list[tuple[int, ...]] = []
 

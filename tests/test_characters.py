@@ -23,12 +23,14 @@ from toruscovers.covers import (
     ConsistencyError,
     RamificationProfile,
     aut_weighted_counts,
+    count_table,
 )
 from toruscovers.perms import (
     commutator,
     cycle_type,
-    partition_sign,
     partitions,
+    sign,
+    type_rep,
 )
 
 
@@ -86,7 +88,7 @@ def test_character_values_hand_checked():
     # trivial and sign characters
     for cls in partitions(5):
         assert character_value((5,), cls) == 1
-        assert character_value((1, 1, 1, 1, 1), cls) == partition_sign(cls)
+        assert character_value((1, 1, 1, 1, 1), cls) == sign(type_rep(cls))
     # standard character = fixed points - 1
     for cls in partitions(6):
         fix = sum(1 for part in cls if part == 1)
@@ -123,8 +125,8 @@ def test_conjugate_shape_symmetry():
 
     for s in partitions(6):
         for mu in partitions(6):
-            assert character_value(conj(s), mu) == partition_sign(
-                mu
+            assert character_value(conj(s), mu) == sign(
+                type_rep(mu)
             ) * character_value(s, mu)
 
 
@@ -134,13 +136,6 @@ def test_character_table_past_its_bound_raises_capacity_error():
         CapacityError, match="^character-table degree 17 exceeds its bound 16$"
     ):
         CharacterTable.build(17)
-
-
-def test_character_table_orthogonality():
-    for d in range(1, 11):
-        table = CharacterTable.build(d)
-        assert table.row_orthogonal()
-        assert table.column_orthogonal()
 
 
 def test_character_table_csv():
@@ -161,14 +156,28 @@ def test_character_table_csv():
         lambda: character_degree([0]),
         lambda: character_degree([2, -1]),
         lambda: character_value([2, 0], [2]),
+        lambda: character_value([3], [2]),
     ],
     ids=["zero-part-convolution", "zero-part-characters",
          "negative-part-convolution", "negative-part-characters",
          "short-parts", "degree-zero-part", "degree-negative-part",
-         "value-zero-part"],
+         "value-zero-part", "value-different-sizes"],
 )
 def test_malformed_partitions_raise_value_error(call):
     with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_table(5, RamificationProfile.of(5, "3"), method="scan"),
+        lambda: disconnected_count(4, 0, [4], method="scan"),
+    ],
+    ids=["count-table", "disconnected-count"],
+)
+def test_unknown_count_method_is_named(call):
+    with pytest.raises(ValueError, match="^unknown method 'scan'$"):
         call()
 
 

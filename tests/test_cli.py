@@ -212,8 +212,9 @@ def test_verify_composite_prime_within_the_bound_is_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "primes,degrees", [("5,5", [5] * 3), ("7,5,7", [7] * 3 + [5] * 3)],
-    ids=["repeat", "first-occurrence-order"],
+    "primes,degrees",
+    [("5,5", [5] * 3), ("7,5,7", [7] * 3 + [5] * 3), ("3", [3] * 3)],
+    ids=["repeat", "first-occurrence-order", "least-degree"],
 )
 def test_verify_runs_each_prime_once(primes, degrees, capsys):
     code, out, _ = run(["verify", "--family", "g2_31", "--primes", primes], capsys)
@@ -261,6 +262,22 @@ def test_verify_bad_primes_entry_is_named(primes, entry, capsys, monkeypatch):
     code, out, err = run(["verify", "--family", "g2_31", "--primes", primes], capsys)
     assert code == 2 and out == ""
     assert err == f"error: bad --primes entry {entry}\n"
+
+
+@pytest.mark.parametrize(
+    "family,primes,entry,low", [("g2_22", "3", 3, 4), ("g3_5", "2,3", 2, 5)]
+)
+def test_verify_prime_below_the_family_degree_is_named(
+    family, primes, entry, low, capsys, monkeypatch
+):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "verify_family", no_check)
+    code, out, err = run(["verify", "--family", family, "--primes", primes], capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: --primes entry {entry} is below the least degree "
+                   f"{low} of family {family}\n")
 
 
 def test_parser_defaults_read_the_bound_constants(capsys, monkeypatch):

@@ -98,12 +98,12 @@ def test_each_class_is_one_naive_orbit(d, sigma):
     assert canon == {(c.alpha, c.beta) for c in classes}
 
 
-def _coset_solutions(ctx, sigma, degree):
+def _coset_solutions(ctx, sigma):
     """Yield every alpha with ``alpha beta0 alpha^-1 beta0^-1`` in the
     class sigma, beta0 the fixed representative of ctx.  Each alpha is
     produced exactly once (distinct gammas give disjoint cosets)."""
     beta0 = ctx.rep
-    for gamma in class_elements(sigma, degree):
+    for gamma in class_elements(sigma):
         delta = compose(gamma, beta0)
         parts, t = cycle_layout(delta)
         if parts != ctx.parts:
@@ -125,7 +125,7 @@ def test_orbit_walk_matches_raw_coset_walk():
                     ctx = _type_context(parts)
                     canon = {
                         canonical_pair(a, ctx.rep)
-                        for a in _coset_solutions(ctx, prof.parts, d)
+                        for a in _coset_solutions(ctx, prof.parts)
                         if is_transitive([a, ctx.rep], d)
                     }
                     expected.extend(sorted(canon))
@@ -226,7 +226,7 @@ def _raw_weighted_counts(d, prof):
     out = {}
     for parts in partitions(d):
         ctx = _type_context(parts)
-        alphas = _coset_solutions(ctx, prof.parts, d)
+        alphas = _coset_solutions(ctx, prof.parts)
         raw = sum(is_transitive([a, ctx.rep], d) for a in alphas)
         if raw:
             out[parts] = Fraction(raw, ctx.order)
@@ -504,6 +504,21 @@ def test_profile_parsing():
         RamificationProfile.of(3, "2,2")
     with pytest.raises(ValueError):
         RamificationProfile.of(4, "0,4")
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: RamificationProfile(()), "profile has no parts"),
+        (lambda: RamificationProfile((2, 3)), "profile parts must be sorted descending"),
+        (lambda: enumerate_classes(5, RamificationProfile.of(6, "3")),
+         "profile degree mismatch"),
+    ],
+    ids=["no-parts", "ascending", "degree-mismatch"],
+)
+def test_malformed_profiles_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_profile_parity_and_genus():

@@ -19,6 +19,7 @@ from toruscovers.formulas import (
     dejonquieres_positive,
     divisor_sigma,
     eisenstein,
+    family_sigma,
     g3_slope_probe,
     gcd_sum_three_sizes,
     gcd_sum_two_one,
@@ -167,16 +168,35 @@ def test_per_type_formulas_match_frozen_degree7_tables(family, table):
 @pytest.mark.parametrize("family", ["g2_31", "g2_22", "g3_5"])
 @pytest.mark.parametrize("d", [5, 7])
 def test_per_type_formulas_match_live_enumeration(family, d):
-    from toruscovers.formulas import family_sigma
-
     prof = RamificationProfile.of(d, family_sigma(family))
     live = {}
     for c in enumerate_classes(d, prof):
         live[c.beta_type] = live.get(c.beta_type, 0) + 1
-    for parts in admissible_types(d, family):
+    for parts in partitions(d):
         assert per_type_N(d, family, parts) == live.get(parts, 0)
     covered = set(admissible_types(d, family))
     assert set(live) <= covered
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: closed_N_M(2, "g2_31"), "family g2_31 needs d >= 3"),
+        (lambda: closed_N_M(9, "g2_31"), "closed formulas need prime d, got 9"),
+        (lambda: family_sigma("g9"), "unknown family 'g9'"),
+        (lambda: divisor_sigma(1, 0), "divisor sums need n >= 1"),
+        (lambda: eisenstein("S", 3), "unknown series 'S'"),
+        (lambda: convolution_identity(1), "identity needs d >= 2"),
+        (lambda: sum_identity_l1l2(1), "identity needs d >= 2"),
+        (lambda: genus_closed(5, "g3_5"), "g = 2 families only"),
+    ],
+    ids=["below-family-degree", "composite-degree", "unknown-family",
+         "divisor-sum-zero", "unknown-series", "convolution-degree",
+         "sum-identity-degree", "genus-g3"],
+)
+def test_bad_arguments_raise_value_error_naming_them(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_unclassified_type_raises():

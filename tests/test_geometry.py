@@ -107,7 +107,7 @@ def test_genus_known_values():
 
 def test_orbifold_points_genus_three_case():
     dec = decompose(5, RamificationProfile.of(5, "5"))
-    pts = orbifold_points(dec)
+    pts = orbifold_points(dec, dec.local_orbits)
     assert [(p.order, p.count) for p in pts] == [(5, 3)]
     inv = curve_invariants(dec)
     assert inv.chi == Fraction(-1304, 5)
@@ -116,13 +116,14 @@ def test_orbifold_points_genus_three_case():
 def test_orbifold_point_orders_divide_lcm_of_parts():
     for d, sigma in [(5, "3"), (6, "3"), (6, "2,2"), (7, "3")]:
         dec = decompose(d, RamificationProfile.of(d, sigma))
-        for p in orbifold_points(dec):
+        for p in orbifold_points(dec, dec.local_orbits):
             assert p.order > 1 and p.count >= 1
 
 
 def test_euler_orbifold_formula():
     # chi = 2 - 2g - 12 sum count (1 - 1/order)
-    pts = orbifold_points(decompose(3, RamificationProfile.of(3, "3")))
+    dec = decompose(3, RamificationProfile.of(3, "3"))
+    pts = orbifold_points(dec, dec.local_orbits)
     assert euler_orbifold(4, pts) == 2 - 8 - 12 * (1 - Fraction(1, 3))
 
 

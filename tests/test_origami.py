@@ -51,6 +51,8 @@ def test_surface_requires_connectedness():
         SquareTiledSurface(v=parse_cycles("(1 2)", 4), h=parse_cycles("(3 4)", 4))
     with pytest.raises(ValueError, match="at least one square"):
         SquareTiledSurface(v=(), h=())
+    with pytest.raises(ValueError, match="same degree"):
+        SquareTiledSurface(v=(0, 1), h=(0,))
 
 
 def test_worked_example_commutators():
