@@ -21,6 +21,15 @@ A class meets the coset of that representative in exactly one orbit of
 to pairs (C(beta0)-orbit of gamma, Stab(gamma)-orbit of transitive alphas
 in the coset of its representative).
 
+Transitivity is decided once per block permutation, not per element.
+Every z in C(beta0) turns each cycle of beta0 and carries it onto a cycle
+of equal length: cycle i onto cycle pi(i), a permutation of the k cycle
+labels.  Then alpha = a0 z sends the points of cycle i onto
+a0(cycle pi(i)), and beta0 joins the points of each cycle, so which cycles
+<alpha, beta0> joins depends on pi alone.  The walk iterates C(beta0)
+grouped by pi, decides each group by a walk over k <= d cycle labels, and
+skips an intransitive group whole.
+
 The walk scans only the beta types with at most (d+1)/2 cycles.  The
 alpha- and beta-edges of a transitive pair connect all d points, so
 (d - c(alpha)) + (d - c(beta)) >= d - 1: a beta with more cycles comes
@@ -37,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence
@@ -46,7 +55,7 @@ from .perms import (
     Partition,
     Perm,
     as_partition,
-    centralizer_elements,
+    centralizer_groups,
     centralizer_order,
     class_elements,
     commutator,
@@ -57,8 +66,6 @@ from .perms import (
     cycle_type,
     inverse,
     is_prime,
-    is_transitive,
-    orbit_of,
     partitions,
     type_rep,
     type_weight,
@@ -67,7 +74,7 @@ from .perms import (
 DEFAULT_MAX_DEGREE = 9
 
 # centralizers up to this order are kept in memory once per cycle type;
-# larger ones are streamed afresh on every scan (see _TypeContext.pairs)
+# larger ones are streamed afresh on every scan (see _TypeContext.groups)
 _MATERIALIZE_LIMIT = 60_000
 
 
@@ -156,28 +163,40 @@ class RamificationProfile:
 # canonical forms
 
 
+_Group = tuple[tuple[int, ...], Iterable[tuple[Perm, Perm]]]
+
+
 @dataclass(frozen=True)
 class _TypeContext:
     """Cached data for one beta cycle type: the fixed representative and
-    the order of its centralizer C(beta0), which :meth:`pairs` scans."""
+    the order of its centralizer C(beta0), which :meth:`groups` scans."""
 
     parts: Partition
     rep: Perm
     order: int
 
-    def pairs(self) -> Iterable[tuple[Perm, Perm]]:
-        """Every (z, z^-1) with z in C(beta0): the cached tuple when the
-        centralizer is small enough to keep, else a fresh stream."""
+    def groups(self) -> Iterable[_Group]:
+        """C(beta0) grouped by the permutation pi of beta0's cycles, as in
+        :func:`centralizer_groups`: each pi with the (z, z^-1) of its group.
+        The cached tuple when the centralizer is small enough to keep, else
+        a fresh stream, in which a group that is not iterated builds
+        nothing."""
         if self.order > _MATERIALIZE_LIMIT:
-            return ((z, inverse(z)) for z in centralizer_elements(self.parts))
-        return self._cached_pairs
+            return ((pi, ((z, inverse(z)) for z in zs))
+                    for pi, zs in centralizer_groups(self.parts))
+        return self._cached_groups
+
+    def pairs(self) -> Iterable[tuple[Perm, Perm]]:
+        """Every (z, z^-1) with z in C(beta0), read from :meth:`groups`."""
+        return chain.from_iterable(group for _, group in self.groups())
 
     @cached_property
-    def _cached_pairs(self) -> tuple[tuple[Perm, Perm], ...]:
-        pairs = tuple((z, inverse(z)) for z in centralizer_elements(self.parts))
-        if len(pairs) != self.order:
+    def _cached_groups(self) -> tuple[_Group, ...]:
+        groups = tuple((pi, tuple((z, inverse(z)) for z in zs))
+                       for pi, zs in centralizer_groups(self.parts))
+        if sum(len(group) for _, group in groups) != self.order:
             raise ConsistencyError("centralizer enumeration size mismatch")
-        return pairs
+        return groups
 
 
 @lru_cache(maxsize=None)
@@ -422,8 +441,8 @@ class CoverClass:
     @cached_property
     def is_primitive(self) -> bool:
         """Whether the absolute periods generate the full lattice (the
-        cover is not pulled back through an isogeny)."""
-        return period_lattice_index(self.alpha, self.beta) == 1
+        cover is not pulled back through an isogeny), read off :attr:`key`."""
+        return _lattice_index(self.key) == 1
 
     def __str__(self) -> str:
         return f"({cycle_string(self.alpha)}, {cycle_string(self.beta)})"
@@ -437,27 +456,39 @@ def period_lattice_index(alpha: Perm, beta: Perm) -> int:
 
     Index 1 means the cover is primitive; a larger index m means it is
     the pullback of a smaller cover under a degree-m isogeny of the base.
-    Computed as the abelianized point stabilizer: spanning-tree positions
-    give each sheet a vector, and every non-tree edge contributes its
-    closing defect to the lattice.
+    Computed as the abelianized point stabilizer, by :func:`_lattice_index`
+    on the pair's :func:`origami_key`.
     """
-    if len(alpha) != len(beta):
-        raise ValueError("degree mismatch")
-    d = len(alpha)
-    if d == 0:
-        raise ValueError("empty permutation")
-    order = orbit_of(0, (alpha, beta))
-    if len(order) != d:
-        raise ValueError("pair is not transitive; period lattice undefined")
-    pos: dict[int, tuple[int, int]] = {0: (0, 0)}
+    return _lattice_index(_key_walk(alpha, beta)[0])
+
+
+def _lattice_index(key: bytes) -> int:
+    """:func:`period_lattice_index` of the pair that ``key`` spells.
+
+    The key is the pair relabelled in the order of its breadth-first walk:
+    point i's alpha and beta labels are bytes 2i and 2i+1.  A label equal
+    to the number of points reached so far is a tree edge, which gives the
+    point it reaches its position (a step (1, 0) for alpha, (0, 1) for
+    beta); any other label closes a defect, and the defects span the
+    lattice.  The index depends neither on the start nor on the labelling.
+    """
+    d = len(key) // 2
+    px, py = [0] * d, [0] * d
+    reached = 1
     defects: list[tuple[int, int]] = []
-    for i in order:  # breadth-first, so pos[i] is set
-        x, y = pos[i]
-        for j, end in ((alpha[i], (x + 1, y)), (beta[i], (x, y + 1))):
-            if j not in pos:
-                pos[j] = end
-            elif end != pos[j]:
-                defects.append((end[0] - pos[j][0], end[1] - pos[j][1]))
+    labels = iter(key)
+    for i, (u, v) in enumerate(zip(labels, labels)):
+        x, y = px[i], py[i]
+        if u == reached:
+            px[u], py[u] = x + 1, y
+            reached += 1
+        elif x + 1 != px[u] or y != py[u]:
+            defects.append((x + 1 - px[u], y - py[u]))
+        if v == reached:
+            px[v], py[v] = x, y + 1
+            reached += 1
+        elif x != px[v] or y + 1 != py[v]:
+            defects.append((x - px[v], y + 1 - py[v]))
     index = 0
     for i, (ax, ay) in enumerate(defects):
         for bx, by in defects[i + 1 :]:
@@ -489,6 +520,31 @@ class _StabilizerScan:
                 yield z, zinv
 
 
+def _cycle_hits(ctx: _TypeContext, a0: Perm) -> list[set[int]]:
+    """For each cycle of beta0, the cycles that a0 sends its points into."""
+    cycle_of = [k for k, l in enumerate(ctx.parts) for _ in range(l)]
+    hits: list[set[int]] = [set() for _ in ctx.parts]
+    for x, y in enumerate(a0):
+        hits[cycle_of[x]].add(cycle_of[y])
+    return hits
+
+
+def _joins_cycles(pi: tuple[int, ...], hits: Sequence[set[int]]) -> bool:
+    """Whether <a0 z, beta0> is transitive for the z in C(beta0) that carry
+    cycle i of beta0 onto cycle pi[i], ``hits`` from :func:`_cycle_hits`:
+    a0 z sends cycle i into the cycles ``hits[pi[i]]``, and beta0 joins the
+    points of each cycle, so a walk over cycle labels decides it."""
+    reached = [0]
+    marked = [False] * len(pi)
+    marked[0] = True
+    for i in reached:  # grows as the walk goes
+        for t in hits[pi[i]]:
+            if not marked[t]:
+                marked[t] = True
+                reached.append(t)
+    return len(reached) == len(pi)
+
+
 def _coset_reps(
     ctx: _TypeContext,
     a0: Perm,
@@ -496,17 +552,23 @@ def _coset_reps(
 ) -> list[Perm]:
     """Canonical alphas of the transitive classes meeting the coset
     ``a0 C(beta0)``: each class meets the coset in one orbit of ``stab``
-    (the (s, s^-1) pairs of Stab(gamma)), so each is canonicalized once."""
+    (the (s, s^-1) pairs of Stab(gamma)), so each is canonicalized once.
+    Transitivity is decided once per group of :meth:`_TypeContext.groups`,
+    and an intransitive group is skipped whole."""
     points = range(len(a0))
+    hits = _cycle_hits(ctx, a0)
     seen: set[Perm] = set()
     reps = []
-    for z, _ in ctx.pairs():
-        alpha = tuple([a0[x] for x in z])
-        if alpha in seen or not is_transitive((alpha, ctx.rep), len(alpha)):
+    for pi, group in ctx.groups():
+        if not _joins_cycles(pi, hits):
             continue
-        reps.append(_min_over_elements(alpha, ctx))
-        for s, sinv in stab:
-            seen.add(tuple([s[alpha[sinv[x]]] for x in points]))
+        for z, _ in group:
+            alpha = tuple([a0[x] for x in z])
+            if alpha in seen:
+                continue
+            reps.append(_min_over_elements(alpha, ctx))
+            for s, sinv in stab:
+                seen.add(tuple([s[alpha[sinv[x]]] for x in points]))
     return reps
 
 

@@ -361,7 +361,7 @@ def orbits(gens: Sequence[Perm], degree: int) -> list[tuple[int, ...]]:
 
 
 def is_transitive(gens: Sequence[Perm], degree: int) -> bool:
-    """Whether the group generated acts transitively on {1..degree}.
+    """Whether the group generated acts transitively on {0..degree-1}.
 
     >>> is_transitive([parse_cycles("(1 5)", 5), parse_cycles("(1 2 3 4)", 5)], 5)
     True
@@ -406,40 +406,42 @@ def centralizer_order(parts: Partition) -> int:
     return out
 
 
-def centralizer_elements(parts: Partition) -> Iterator[Perm]:
-    """Yield all elements of the centralizer of ``type_rep(parts)``.
-
-    An element rotates each cycle and permutes the cycles inside every
-    equal-length block; the iterator walks the direct product of those
-    wreath products block by block, holding no block's maps in memory.
+def centralizer_groups(
+    parts: Partition,
+) -> Iterator[tuple[tuple[int, ...], Iterator[Perm]]]:
+    """The centralizer of ``type_rep(parts)``, grouped by the permutation
+    of its cycles: an element turns each cycle and carries it onto a cycle
+    of equal length.  Number the cycles in point order; for each ``pi``
+    that keeps lengths, yield ``(pi, elements)``, where ``elements`` lazily
+    yields the z that carry cycle i onto cycle ``pi[i]``, one per choice of
+    turns.  A group that is not iterated builds nothing, and no group's
+    elements are held in memory.
     """
     d = sum(parts)
     blocks = _length_blocks(parts)
+    firsts = list(itertools.accumulate((len(cycs) for _, cycs in blocks), initial=0))
+    turns = [[[c[r:] + c[:r] for r in range(l)] for c in cycs] for l, cycs in blocks]
 
-    def block_images(l: int, cycs: list[list[int]]) -> Iterator[Sequence[int]]:
-        """Images of the block's points, in order, under each of its maps:
-        cycle j goes to cycle perm[j], turned by rots[j]."""
-        if l == 1:
-            yield from itertools.permutations([c[0] for c in cycs])
-            return
-        turns = [[c[r:] + c[:r] for r in range(l)] for c in cycs]
-        for perm in itertools.permutations(range(len(cycs))):
+    def elements(choice: tuple[tuple[int, ...], ...]) -> Iterator[Perm]:
+        out = list(range(d))
+
+        def fill(i: int) -> Iterator[Perm]:  # blocks are consecutive point ranges
+            if i == len(blocks):
+                yield tuple(out)
+                return
+            l, cycs = blocks[i]
+            span = slice(cycs[0][0], cycs[-1][-1] + 1)
+            targets = [turns[i][k] for k in choice[i]]
             for rots in itertools.product(range(l), repeat=len(cycs)):
-                yield [x for k, r in zip(perm, rots) for x in turns[k][r]]
+                out[span] = [x for t, r in zip(targets, rots) for x in t[r]]
+                yield from fill(i + 1)
 
-    out = list(range(d))
+        return fill(0)
 
-    def fill(i: int) -> Iterator[Perm]:  # blocks are consecutive point ranges
-        if i == len(blocks):
-            yield tuple(out)
-            return
-        l, cycs = blocks[i]
-        span = slice(cycs[0][0], cycs[-1][-1] + 1)
-        for image in block_images(l, cycs):
-            out[span] = image
-            yield from fill(i + 1)
-
-    return fill(0)
+    block_perms = [itertools.permutations(range(len(cycs))) for _, cycs in blocks]
+    for choice in itertools.product(*block_perms):
+        pi = tuple(first + k for first, perm in zip(firsts, choice) for k in perm)
+        yield pi, elements(choice)
 
 
 # ---------------------------------------------------------------------------

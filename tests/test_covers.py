@@ -6,6 +6,7 @@ library must agree with it exactly on every count."""
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
@@ -29,7 +30,7 @@ from toruscovers.covers import (
 )
 from toruscovers.formulas import closed_N_M
 from toruscovers.perms import (
-    centralizer_elements,
+    centralizer_groups,
     class_elements,
     commutator,
     compose,
@@ -42,6 +43,10 @@ from toruscovers.perms import (
     partitions,
     type_weight,
 )
+
+
+def _centralizer_elements(parts):
+    return [z for _, zs in centralizer_groups(parts) for z in zs]
 
 
 def _all_perms(d):
@@ -138,7 +143,7 @@ def test_each_centralizer_orbit_of_supports_has_one_canonical_support(d):
     # oracle orbits: the images of a support under every element of C(beta0);
     # every k-subset of the d points, for every k, is some support's mask
     for parts in partitions(d):
-        cent = list(centralizer_elements(parts))
+        cent = _centralizer_elements(parts)
         left = set(range(1 << d))
         while left:
             mask = left.pop()
@@ -146,6 +151,37 @@ def test_each_centralizer_orbit_of_supports_has_one_canonical_support(d):
             left -= orbit
             canonical = [m for m in orbit if covers._canonical_support(m, parts)]
             assert len(canonical) == 1, (parts, sorted(orbit))
+
+
+# every sigma at d <= 8, and the brute-d9 sets
+BLOCK_CASES = [(d, sigma) for d in range(1, 9) for sigma in partitions(d)] + [
+    (9, (3,)), (9, (2, 2)), (9, (5,))]
+
+
+def test_block_verdict_matches_per_element_transitivity(monkeypatch):
+    # the coset walk decides transitivity once per permutation pi of beta0's
+    # cycles; the per-element walk is the oracle for every z of every coset
+    walked = []
+    real = covers._coset_reps
+
+    def recording(ctx, a0, stab):
+        walked.append((ctx, a0))
+        return real(ctx, a0, stab)
+
+    monkeypatch.setattr(covers, "_coset_reps", recording)
+    for d, sigma in BLOCK_CASES:
+        enumerate_classes(d, RamificationProfile.of(d, sigma))
+    verdicts = Counter()
+    for ctx, a0 in walked:
+        hits = covers._cycle_hits(ctx, a0)
+        for pi, group in ctx.groups():
+            verdict = covers._joins_cycles(pi, hits)
+            for z, _ in group:
+                alpha = compose(a0, z)
+                assert is_transitive((alpha, ctx.rep), len(a0)) == verdict, (a0, z)
+                verdicts[verdict] += 1
+    assert len(walked) == 5206
+    assert sum(verdicts.values()) == 73_735 and verdicts[False] > 0
 
 
 def test_enumeration_types_gammas_on_canonical_supports_only(monkeypatch):
@@ -363,6 +399,39 @@ def test_period_lattice_index_matches_two_pass_route(d, sigmas):
         assert period_lattice_index(c.alpha, c.beta) == want, str(c)
 
 
+@pytest.mark.parametrize("d,sigmas", ORACLE_SETS, ids=ORACLE_IDS)
+def test_period_lattice_index_of_relabelled_pairs_matches_two_pass_route(d, sigmas):
+    # the index read off the key walk depends neither on the labelling nor
+    # on the start that gives the key, which for most relabelled pairs is
+    # not point 0
+    rng = random.Random(d)
+    away = 0
+    classes = _oracle_classes(d, sigmas)
+    for c in classes:
+        t = tuple(rng.sample(range(d), d))
+        alpha, beta = conjugate(t, c.alpha), conjugate(t, c.beta)
+        want = _two_pass_period_lattice_index(c.alpha, c.beta)
+        assert _two_pass_period_lattice_index(alpha, beta) == want, str(c)
+        assert period_lattice_index(alpha, beta) == want, str(c)
+        away += _start_key(alpha, beta, 0) != origami_key(alpha, beta)
+    assert 2 * away > len(classes) or d < 4
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_commuting_classes_are_degree_d_isogenies(d):
+    # a transitive commuting pair is the translation action on Z^2/L, L of
+    # index d: the pullback of the degree-1 cover through a degree-d
+    # isogeny, primitive only at d=1.  Its key walk starts from point 0
+    # alone, and every start gives that key
+    classes = enumerate_classes(d, RamificationProfile.of(d, "1"))
+    assert len(classes) == sum(k for k in range(1, d + 1) if d % k == 0)
+    for c in classes:
+        assert _two_pass_period_lattice_index(c.alpha, c.beta) == d
+        assert period_lattice_index(c.alpha, c.beta) == d
+        assert c.is_primitive == (d == 1)
+        assert {_start_key(c.alpha, c.beta, x) for x in range(d)} == {c.key}
+
+
 def test_period_lattice_index_errors():
     a = parse_cycles("(1 2)", 4)
     with pytest.raises(ValueError, match="degree mismatch"):
@@ -415,22 +484,23 @@ def test_origami_key_splits_pairs_as_canonical_pair_does(d, sigmas):
                             9: 5319}[d]
 
 
+def _start_key(alpha, beta, start):
+    """The sequence of the breadth-first origami walk from one start."""
+    label = {start: 0}
+    order = [start]
+    key = []
+    for x in order:
+        for g in (alpha, beta):
+            if g[x] not in label:
+                label[g[x]] = len(order)
+                order.append(g[x])
+            key.append(label[g[x]])
+    return bytes(key)
+
+
 def _every_start_key(alpha, beta):
     """The breadth-first origami key minimized over every start point."""
-    d = len(alpha)
-    keys = []
-    for start in range(d):
-        label = {start: 0}
-        order = [start]
-        key = []
-        for x in order:
-            for g in (alpha, beta):
-                if g[x] not in label:
-                    label[g[x]] = len(order)
-                    order.append(g[x])
-                key.append(label[g[x]])
-        keys.append(bytes(key))
-    return min(keys)
+    return min(_start_key(alpha, beta, start) for start in range(len(alpha)))
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -441,7 +511,7 @@ def test_commuting_key_from_one_start_matches_every_start(d):
     for alpha in itertools.permutations(range(d)):
         parts, t = cycle_layout(alpha)
         tinv = inverse(t)  # C(alpha) = t^-1 C(type_rep) t
-        for z in centralizer_elements(parts):
+        for z in _centralizer_elements(parts):
             beta = conjugate(tinv, z)
             assert compose(alpha, beta) == compose(beta, alpha)
             if is_transitive((alpha, beta), d):

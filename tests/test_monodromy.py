@@ -4,13 +4,14 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruscovers import covers
+from toruscovers import covers, monodromy, perms
 from toruscovers.covers import (
     CoverClass,
     RamificationProfile,
     canonical_pair,
     enumerate_classes,
     origami_key,
+    period_lattice_index,
 )
 from toruscovers.monodromy import (
     action_graph_dot,
@@ -241,6 +242,44 @@ def test_each_class_canonicalizes_each_generator_image_once(monkeypatch):
         assert c.twists == (classes[i].key, classes[j].key)
     assert [c.twists for c in classes] == oracle
     assert {name: len(made) for name, made in calls.items()} == want
+
+
+def test_enumeration_and_primitivity_walk_no_orbits(monkeypatch):
+    # the coset walk decides transitivity per block permutation of C(beta0),
+    # and primitivity reads the key each class cached for the twist tables
+    calls = {"is_transitive": 0, "orbit_of": 0, "_key_walk": 0}
+    oracle = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for module in (perms, covers, monodromy):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    # (5) has 4,550 classes in 7 primitive components; (3) has one
+    # pullback component among its 3
+    for sigma, sizes in (("5", (4550, 7, 7)), ("3", (201, 3, 2))):
+        prof = RamificationProfile.of(9, sigma)
+        calls.update(dict.fromkeys(calls, 0))
+        classes = enumerate_classes(9, prof)
+        assert calls["is_transitive"] == calls["orbit_of"] == 0
+        dec = decompose(9, prof, classes)
+        assert calls["_key_walk"] == 3 * len(classes)
+        calls.update(dict.fromkeys(calls, 0))
+        primitive = dec.primitive_components()
+        assert calls == {"is_transitive": 0, "orbit_of": 0, "_key_walk": 0}
+        assert (len(classes), len(dec.components), len(primitive)) == sizes
+        oracle.append((classes, dec, primitive))
+    monkeypatch.undo()
+    for classes, dec, primitive in oracle:
+        assert primitive == tuple(
+            comp for comp in dec.components
+            if period_lattice_index(classes[comp[0]].alpha, classes[comp[0]].beta) == 1)
 
 
 @pytest.mark.parametrize("d", range(1, 7))

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,7 @@ from toruscovers.covers import RamificationProfile
 from toruscovers.formulas import primes_up_to
 from toruscovers.perms import (
     as_partition,
-    centralizer_elements,
+    centralizer_groups,
     centralizer_order,
     class_elements,
     class_size,
@@ -205,13 +205,22 @@ def test_cycle_layout_on_random_conjugates(pt):
 
 def test_centralizer_elements_enumeration():
     # distinct, commuting with the representative and |C| many: the whole
-    # centralizer (every partition of 6, plus two of smaller degree)
+    # centralizer (every partition of 6, plus two of smaller degree); each
+    # group's elements carry cycle i onto cycle pi[i], one group per
+    # length-keeping permutation of the cycles
     for parts in [(3, 1, 1), (2, 2), *partitions(6)]:
         rep = type_rep(parts)
-        elems = list(centralizer_elements(parts))
+        cycle_of = [k for k, l in enumerate(parts) for _ in range(l)]
+        groups = [(pi, list(zs)) for pi, zs in centralizer_groups(parts)]
+        elems = [z for _, zs in groups for z in zs]
         assert len(elems) == centralizer_order(parts)
         assert len(set(elems)) == len(elems)
         assert all(conjugate(g, rep) == rep for g in elems)
+        assert len({pi for pi, _ in groups}) == len(groups) == prod(
+            factorial(a) for a in multiplicities(parts).values())
+        for pi, zs in groups:
+            assert [parts[k] for k in pi] == list(parts)
+            assert all(cycle_of[z[x]] == pi[cycle_of[x]] for z in zs for x in range(len(z)))
 
 
 def test_orbits_and_transitivity():
