@@ -628,7 +628,11 @@ def _sweep_row(d: int, sigma: str, with_genus: bool, max_degree: int) -> dict:
         return {"d": d, "sigma": sigma, "N": 0, "note": "sigma does not fit"}
     if not prof.admits_covers:
         return {"d": d, "sigma": sigma, "N": 0, "note": "odd branching parity"}
-    classes = enumerate_classes(d, prof, max_degree=max_degree)
+    if with_genus:
+        dec = decompose(d, prof, max_degree=max_degree)
+        classes = dec.classes
+    else:
+        classes = enumerate_classes(d, prof, max_degree=max_degree)
     s = component_slope(prof, classes)
     row = {
         "d": d,
@@ -638,7 +642,7 @@ def _sweep_row(d: int, sigma: str, with_genus: bool, max_degree: int) -> dict:
         "slope": None if s.slope is None else str(s.slope),
     }
     if s.N and with_genus:
-        row["genus"] = curve_invariants(decompose(d, prof, classes)).genus
+        row["genus"] = curve_invariants(dec).genus
     return row
 
 

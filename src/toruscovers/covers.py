@@ -96,6 +96,14 @@ def check_capacity(
         raise CapacityError(f"{kind} {value} exceeds its bound {bound}")
 
 
+def _check_degree(degree: int, profile: RamificationProfile, max_degree: int) -> None:
+    """Check a request for the classes of ``profile``: its degree is
+    ``degree``, within the bound ``max_degree``."""
+    if degree != profile.degree:
+        raise ValueError("profile degree mismatch")
+    check_capacity(degree, max_degree)
+
+
 # ---------------------------------------------------------------------------
 # ramification profiles
 
@@ -416,12 +424,29 @@ class CoverClass:
         """The :func:`origami_key` of the pair, equal for conjugate pairs."""
         return self._walk[0]
 
+    @classmethod
+    def _with_walk(cls, pair: tuple[Perm, Perm], walk: tuple[bytes, int]) -> "CoverClass":
+        """The class of ``pair``, canonicalized once, holding ``walk``, the
+        :func:`_key_walk` of ``pair``: key and automorphism count are the
+        same for every pair of a class, so nothing walks it again."""
+        c = cls.from_pair(*pair)
+        vars(c)["_walk"] = walk
+        return c
+
     @cached_property
     def twists(self) -> tuple[bytes, bytes]:
         """Keys of the images under the twists a and b: (alpha, alpha beta)
         and (alpha beta, beta), in that order."""
+        (_, a), (_, b) = self._twist_walks()
+        return a[0], b[0]
+
+    def _twist_walks(self) -> tuple[tuple[tuple[Perm, Perm], tuple[bytes, int]], ...]:
+        """The a and b images of the pair, each with its :func:`_key_walk`,
+        whose keys it keeps as :attr:`twists`."""
         ab = compose(self.alpha, self.beta)
-        return origami_key(self.alpha, ab), origami_key(ab, self.beta)
+        walks = tuple((pair, _key_walk(*pair)) for pair in ((self.alpha, ab), (ab, self.beta)))
+        vars(self)["twists"] = walks[0][1][0], walks[1][1][0]
+        return walks
 
     @cached_property
     def weight(self) -> Fraction:
@@ -507,7 +532,8 @@ def _lattice_index(key: bytes) -> int:
 @dataclass(frozen=True)
 class _StabilizerScan:
     """Every (s, s^-1) with s in Stab(gamma) of C(beta0), read afresh
-    from :meth:`_TypeContext.pairs` on each iteration."""
+    from :meth:`_TypeContext.pairs` on each iteration.  The identity is
+    central, so for it that is all of C(beta0), yielded untested."""
 
     ctx: _TypeContext
     gamma: Perm
@@ -515,6 +541,9 @@ class _StabilizerScan:
     def __iter__(self) -> Iterator[tuple[Perm, Perm]]:
         gamma = self.gamma
         points = range(len(gamma))
+        if all(map(eq, gamma, points)):
+            yield from self.ctx.pairs()
+            return
         for z, zinv in self.ctx.pairs():
             if tuple([z[gamma[zinv[x]]] for x in points]) == gamma:
                 yield z, zinv
@@ -603,6 +632,10 @@ def _alphas_for_type(ctx: _TypeContext, gammas: Iterable[Perm]) -> list[Perm]:
         if cycle_type(delta) != ctx.parts:  # cheaper than a layout; most miss
             continue
         a0 = inverse(cycle_layout(delta)[1])
+        if all(map(eq, gamma, points)):  # trivial sigma: gamma is central
+            seen_gamma.add(gamma)
+            reps.extend(_coset_reps(ctx, a0, _StabilizerScan(ctx, gamma)))
+            continue
         # one pass over C(beta0) gives gamma's orbit and its stabilizer;
         # a stabilizer too large to keep is scanned out of C(beta0) again
         orbit: set[Perm] = set()
@@ -625,6 +658,33 @@ def _alphas_for_type(ctx: _TypeContext, gammas: Iterable[Perm]) -> list[Perm]:
     return reps
 
 
+def _alphas_by_type(
+    profile: RamificationProfile, types: Sequence[Partition],
+) -> Iterator[tuple[Partition, list[Perm]]]:
+    """Each scanned beta type of ``types`` with the canonical alphas of its
+    classes, by :func:`_alphas_for_type` over sigma's class on the type's
+    canonical supports.  The gammas moving exactly the points of a mask
+    are one fixed-point-free pattern relabelled onto them, built once for
+    the masks that some type reads."""
+    degree = profile.degree
+    patterns = list(class_elements(profile.nontrivial_parts))
+    by_support: dict[int, list[Perm]] = {}
+    for points in combinations(range(degree), sum(profile.nontrivial_parts)):
+        mask = sum(1 << x for x in points)
+        if not any(_canonical_support(mask, parts) for parts in types):
+            continue
+        on = by_support[mask] = []
+        for q in patterns:
+            gamma = list(range(degree))
+            for x, y in zip(points, q):
+                gamma[x] = points[y]
+            on.append(tuple(gamma))
+    for parts in types:
+        gammas = (g for mask, on in by_support.items()
+                  if _canonical_support(mask, parts) for g in on)
+        yield parts, _alphas_for_type(_type_context(parts), gammas)
+
+
 def enumerate_classes(
     degree: int,
     profile: RamificationProfile,
@@ -635,38 +695,17 @@ def enumerate_classes(
     Deterministic order: beta cycle types in reverse-lex order (single
     cycle first), then canonical alphas lexicographically.
     """
-    if degree != profile.degree:
-        raise ValueError("profile degree mismatch")
-    check_capacity(degree, max_degree)
+    _check_degree(degree, profile, max_degree)
     if not profile.admits_covers:
         return []
-    # sigma's class on the supports some scanned beta type reads: the
-    # gammas moving exactly the points of a mask are one fixed-point-free
-    # pattern relabelled onto them
-    patterns = list(class_elements(profile.nontrivial_parts))
-    scanned = list(filter(_scanned, partitions(degree)))
-    by_support: dict[int, list[Perm]] = {}
-    for points in combinations(range(degree), sum(profile.nontrivial_parts)):
-        mask = sum(1 << x for x in points)
-        if not any(_canonical_support(mask, parts) for parts in scanned):
-            continue
-        on = by_support[mask] = []
-        for q in patterns:
-            gamma = list(range(degree))
-            for x, y in zip(points, q):
-                gamma[x] = points[y]
-            on.append(tuple(gamma))
     alphas: dict[Partition, list[Perm]] = {}
-    for parts in scanned:
-        ctx = _type_context(parts)
-        gammas = (g for mask, on in by_support.items()
-                  if _canonical_support(mask, parts) for g in on)
-        alphas[parts] = _alphas_for_type(ctx, gammas)
+    for parts, reps in _alphas_by_type(profile, list(filter(_scanned, partitions(degree)))):
+        alphas[parts] = reps
         # the quarter turn (alpha, beta0) -> (beta0^-1, alpha) of a class
         # whose alpha has an unscanned type; with f fixed points alpha has
         # at most f + (d - f) // 2 cycles, so most alphas need no layout
-        turn = inverse(ctx.rep)
-        for alpha in alphas[parts]:
+        turn = inverse(_type_context(parts).rep)
+        for alpha in reps:
             fixed = sum(map(eq, alpha, range(degree)))
             if 2 * (fixed + (degree - fixed) // 2) <= degree + 1:
                 continue

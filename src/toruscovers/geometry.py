@@ -24,10 +24,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .covers import ConsistencyError, CoverClass, CountsTable, RamificationProfile
-from .monodromy import OrbitDecomposition
+
+if TYPE_CHECKING:  # monodromy reads formulas, which reads this module
+    from .monodromy import OrbitDecomposition
 
 N_DEGENERATE_FIBERS = 12
 

@@ -22,20 +22,40 @@ origami keys of its a and b images (``CoverClass.twists``),
 (``CoverClass.key``) and turns them into two tuples of class indices in
 one pass, every other table is composed from those two, and every orbit
 query reads the tuples.
+
+Without a class list, ``decompose`` at a prime degree of a closed family
+(sigma (3), (2,2) or (5), see ``formulas``) walks the classes instead of
+enumerating them.  The seeds are the classes whose beta has type (d) or
+(d-1,1): their centralizers have order d and d-1, so
+``covers._alphas_for_type`` finds them cheaply.  A breadth-first walk
+over <a, b> from the seeds, keyed by the origami key, reaches the rest,
+canonicalizing each new class once; each class costs the key walks of
+its two images.  The seeds reach every component at prime d (a
+component with neither type shows up at composite d, such as d=12 for
+(3)), but that is never assumed: the walked classes' N and M must equal
+``formulas.closed_N_M``, the closed count at prime d, or the walk
+raises ConsistencyError.  The classes are then put in enumeration
+order, so the decomposition is the one of the enumerated list.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import formulas
 from .covers import (
     DEFAULT_MAX_DEGREE,
     ConsistencyError,
+    CountsTable,
     CoverClass,
     RamificationProfile,
+    _alphas_by_type,
+    _check_degree,
+    _type_context,
     enumerate_classes,
 )
-from .perms import compose, cycles, inverse, orbits
+from .perms import compose, cycles, inverse, is_prime, orbits
 
 
 def twist_tables(
@@ -102,14 +122,50 @@ def decompose(
     max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> OrbitDecomposition:
     """Compute components (<a, b> orbits) and local orbits (b orbits).
-    Without ``classes``, enumerates them under the bound ``max_degree``."""
+    Without ``classes``, finds them under the bound ``max_degree``: by the
+    seeded walk at a prime degree of a closed family, else by
+    enumeration."""
     if classes is None:
-        classes = enumerate_classes(degree, profile, max_degree=max_degree)
+        family = formulas.family_of(profile)
+        if family is not None and is_prime(degree):
+            classes = _walked_classes(degree, profile, family, max_degree)
+        else:
+            classes = enumerate_classes(degree, profile, max_degree=max_degree)
     classes = tuple(classes)
     a, b = twist_tables(classes)
     return OrbitDecomposition(
         classes, tuple(orbits([a, b], len(classes))), tuple(cycles(b))
     )
+
+
+def _walked_classes(
+    degree: int, profile: RamificationProfile, family: str, max_degree: int,
+) -> list[CoverClass]:
+    """The classes of ``profile`` at prime ``degree``, in
+    :func:`enumerate_classes` order, by the walk of <a, b> from the seeds
+    (see the module docstring), gated by the closed count of ``family``."""
+    _check_degree(degree, profile, max_degree)
+    found: dict[bytes, CoverClass] = {}
+    for parts, alphas in _alphas_by_type(profile, [(degree,), (degree - 1, 1)]):
+        beta0 = _type_context(parts).rep
+        for alpha in alphas:
+            c = CoverClass(alpha, beta0)
+            found[c.key] = c
+    classes = list(found.values())
+    for c in classes:  # grows as the walk goes
+        for pair, walk in c._twist_walks():
+            if walk[0] not in found:
+                found[walk[0]] = image = CoverClass._with_walk(pair, walk)
+                classes.append(image)
+    table = CountsTable.of(profile, Counter(c.beta_type for c in classes))
+    N, M = formulas.closed_N_M(degree, family)
+    if (table.N, table.M) != (N, M):
+        raise ConsistencyError(
+            f"the walk from the seeds reached N={table.N} M={table.M} at "
+            f"d={degree} sigma={profile}, the closed count N={N} M={M}")
+    classes.sort(key=lambda c: c.alpha)
+    classes.sort(key=lambda c: c.beta_type, reverse=True)  # stable: beta type, then alpha
+    return classes
 
 
 # ---------------------------------------------------------------------------

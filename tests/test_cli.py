@@ -591,20 +591,28 @@ def test_sweep_enumerates_under_max_degree(capsys, monkeypatch):
     assert bounds == [(3, 5), (4, 5)]
 
 
-def test_sweep_with_genus_enumerates_each_degree_once(capsys, monkeypatch):
+def test_sweep_with_genus_builds_each_degree_once(capsys, monkeypatch):
+    # each row reads N, M and slope off the classes of its decomposition:
+    # walked at the primes 3 and 5, enumerated at 4 and 6
     enumerate_classes = covers.enumerate_classes
-    calls = []
+    walked_classes = monodromy._walked_classes
+    calls = {"enumerated": [], "walked": []}
 
-    def counting(degree, profile, max_degree=covers.DEFAULT_MAX_DEGREE):
-        calls.append(degree)
+    def enumerating(degree, profile, max_degree=covers.DEFAULT_MAX_DEGREE):
+        calls["enumerated"].append(degree)
         return enumerate_classes(degree, profile, max_degree)
 
+    def walking(degree, profile, family, max_degree):
+        calls["walked"].append(degree)
+        return walked_classes(degree, profile, family, max_degree)
+
     for module in (covers, monodromy, cli):
-        monkeypatch.setattr(module, "enumerate_classes", counting)
+        monkeypatch.setattr(module, "enumerate_classes", enumerating)
+    monkeypatch.setattr(monodromy, "_walked_classes", walking)
     code, out, _ = run(["sweep", "--d-range", "3..6", "--sigma", "3", "--genus"], capsys)
     assert code == 0
     assert out.splitlines()[0] == "d=3  sigma=3  N=3  M=10/3  slope=10  genus=4"
-    assert calls == [3, 4, 5, 6]
+    assert calls == {"enumerated": [4, 6], "walked": [3, 5]}
 
 
 def test_cli_import_loads_no_process_pool():

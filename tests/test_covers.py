@@ -730,3 +730,13 @@ def test_stabilizer_orbit_relation(d, sigma, n_classes, stab_sum):
         assert len(orbit) * c.stabilizer_order == factorial(d)
     assert len(classes) == n_classes
     assert sum(c.stabilizer_order for c in classes) == stab_sum
+
+
+def test_stabilizer_scan_of_the_identity_is_the_whole_centralizer():
+    # the identity gamma of trivial sigma is central: its scan yields all
+    # of C(beta0), in the order of the centralizer's own scan
+    for parts in ((2, 2, 2, 1), (3, 3, 1, 1), (4, 2, 2)):
+        ctx = _type_context(parts)
+        scan = covers._StabilizerScan(ctx, tuple(range(sum(parts))))
+        assert list(scan) == list(ctx.pairs())
+        assert len(list(scan)) == ctx.order

@@ -20,6 +20,7 @@ from toruscovers.monodromy import (
     quarter_turn,
     twist_tables,
 )
+from toruscovers.formulas import per_type_N
 from toruscovers.origami import ur_orbits
 from toruscovers.perms import (
     commutator,
@@ -370,3 +371,95 @@ def test_relabelling_invariance_and_twist_closure(data):
     assert tables["a_inv"][img["a"]] == tables["a"][img["a_inv"]] == i
     assert tables["b_inv"][img["b"]] == tables["b"][img["b_inv"]] == i
     assert tables["R"][img["R"]] == img["inv"] and tables["inv"][img["inv"]] == i
+
+
+# ---------------------------------------------------------------------------
+# the seeded walk at prime degree
+
+_WALKED = [("3", d) for d in (3, 5, 7, 11, 13)]
+_WALKED += [("2,2", d) for d in (5, 7, 11, 13)]
+_WALKED += [("5", d) for d in (5, 7, 11)]
+
+
+@pytest.mark.parametrize("sigma,d", _WALKED)
+def test_walk_equals_the_enumerated_decomposition(sigma, d):
+    # without a list, decompose walks from the seeds at a prime degree of a
+    # closed family; its classes, components and local orbits are those of
+    # the enumerated list, class for class
+    prof = RamificationProfile.of(d, sigma)
+    walked = decompose(d, prof, max_degree=d)
+    enumerated = decompose(d, prof, enumerate_classes(d, prof, max_degree=d), max_degree=d)
+    assert walked == enumerated
+    # each walked class holds the key, automorphism count and image keys
+    # of its class
+    for w, e in zip(walked.classes, enumerated.classes):
+        assert (w.key, w.stabilizer_order, w.twists) == (e.key, e.stabilizer_order, e.twists)
+
+
+def test_walk_past_the_bound_is_a_capacity_error():
+    prof = RamificationProfile.of(11, "3")
+    with pytest.raises(covers.CapacityError):
+        decompose(11, prof)
+    with pytest.raises(ValueError, match="profile degree mismatch"):
+        decompose(7, RamificationProfile.of(5, "3"))
+
+
+def test_walk_short_of_the_closed_count_raises(monkeypatch):
+    # drop the seeds of the smaller (3) component at d=7: the walk reaches
+    # only the 54 classes of the other, and the closed count says 90
+    prof = RamificationProfile.of(7, "3")
+    dec = decompose(7, prof, enumerate_classes(7, prof))
+    assert dec.component_sizes == [54, 36]
+    dropped = {(dec.classes[i].alpha, dec.classes[i].beta) for i in dec.components[1]}
+    alphas_by_type = monodromy._alphas_by_type
+
+    def short(profile, types):
+        for parts, alphas in alphas_by_type(profile, types):
+            beta0 = covers._type_context(parts).rep
+            yield parts, [a for a in alphas if (a, beta0) not in dropped]
+
+    monkeypatch.setattr(monodromy, "_alphas_by_type", short)
+    with pytest.raises(covers.ConsistencyError, match="N=54 .* closed count N=90"):
+        decompose(7, prof)
+
+
+def test_walk_keys_each_class_once_and_enumerates_nothing(monkeypatch):
+    # each seed is keyed once; every class walks its a and b images once,
+    # and a new class is canonicalized once and keeps the walk of the
+    # image that reached it, so the tables read the kept keys
+    d, prof = 11, RamificationProfile.of(11, "2,2")
+    calls = {"enumerate_classes": 0, "canonical_pair": 0, "_key_walk": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module in (covers, monodromy):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    dec = decompose(d, prof, max_degree=d)
+    seeds = sum(c.beta_type in ((d,), (d - 1, 1)) for c in dec.classes)
+    # the closed per-type counts of (11) and (10,1)
+    assert seeds == per_type_N(d, "g2_22", (d,)) + per_type_N(d, "g2_22", (d - 1, 1)) == 410
+    assert calls == {"enumerate_classes": 0, "canonical_pair": 1440 - seeds,
+                     "_key_walk": 2 * 1440 + seeds}
+    calls.update(dict.fromkeys(calls, 0))
+    twist_tables(dec.classes)
+    dec.primitive_components()
+    assert calls == dict.fromkeys(calls, 0)
+
+
+def test_cold_walk_gives_the_warm_result():
+    # the walk builds the centralizers it reads on a fresh type cache
+    prof = RamificationProfile.of(7, "5")
+    warm = decompose(7, prof)
+    covers._type_context.cache_clear()
+    try:
+        cold = decompose(7, prof)
+    finally:
+        covers._type_context.cache_clear()
+    assert cold == warm
