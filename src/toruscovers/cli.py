@@ -881,6 +881,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     bounds = DEFAULT_MAX_DEGREE, formulas.MAX_CLOSED_FORM_DEGREE
     args = _parser_for(*bounds).parse_args(argv)
     try:
+        if hasattr(args, "max_degree"):  # a bound below 1 is bad input, before any work
+            _at_least("--max-degree", args.max_degree, 1)
         # handlers are named, not captured, so the reused parser runs the
         # module's current one
         return globals()[args.handler](args)

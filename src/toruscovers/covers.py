@@ -319,6 +319,15 @@ def origami_key(alpha: Perm, beta: Perm) -> bytes:
     is compared with the best so far as it is built and dropped once it is
     larger.  Labels are below d, so the key is bytes.
 
+    Only the support starts of least first step are walked.  The first
+    step from x, the pair (label of alpha(x), label of beta(x)), is one
+    of (0,0) < (0,1) < (1,0) < (1,1) < (1,2), read off alpha(x), beta(x)
+    and x alone, so it is ranked in the same pass that finds the support.
+    Neither the key nor the automorphism count changes: a sequence begins
+    with its first step, so every start that gives the least sequence has
+    the least first step and is kept, and the tied starts counted below
+    are the same.
+
     The starts that give the key also count the automorphisms of the
     pair: these act freely on the points (one fixing a point of a
     transitive pair fixes all) and carry the commutator support onto
@@ -344,7 +353,17 @@ def _key_walk(alpha: Perm, beta: Perm) -> tuple[bytes, int]:
         raise ValueError("empty permutation")
     if len(beta) != d:
         raise ValueError("degree mismatch")
-    starts = [x for x in range(d) if alpha[beta[x]] != beta[alpha[x]]]
+    # the support starts of least first step, ranked 0, 1, 3, 4, 5
+    starts: list[int] = []
+    least = 6
+    for x in range(d):
+        a, b = alpha[x], beta[x]
+        if alpha[b] != beta[a]:
+            rank = (0 if a == x else 3) + (0 if b == x else 2 if x != a != b else 1)
+            if rank < least:
+                least, starts = rank, [x]
+            elif rank == least:
+                starts.append(x)
     best: list[int] = []
     ties = 0
     for start in starts or [0]:
@@ -443,10 +462,11 @@ class CoverClass:
     def _twist_walks(self) -> tuple[tuple[tuple[Perm, Perm], tuple[bytes, int]], ...]:
         """The a and b images of the pair, each with its :func:`_key_walk`,
         whose keys it keeps as :attr:`twists`."""
-        ab = compose(self.alpha, self.beta)
-        walks = tuple((pair, _key_walk(*pair)) for pair in ((self.alpha, ab), (ab, self.beta)))
-        vars(self)["twists"] = walks[0][1][0], walks[1][1][0]
-        return walks
+        alpha, beta = self.alpha, self.beta
+        ab = compose(alpha, beta)
+        a, b = _key_walk(alpha, ab), _key_walk(ab, beta)
+        vars(self)["twists"] = a[0], b[0]
+        return ((alpha, ab), a), ((ab, beta), b)
 
     @cached_property
     def weight(self) -> Fraction:

@@ -48,7 +48,7 @@ def compose(p: Perm, q: Perm) -> Perm:
     '(1 2 3 4 5)'
     """
     _check_degrees(p, q)
-    return tuple(p[x] for x in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p: Perm) -> Perm:

@@ -996,6 +996,32 @@ def test_degree_past_its_bound_is_exit_3_before_any_work(argv, capsys, monkeypat
 @pytest.mark.parametrize(
     "argv",
     [
+        ["enumerate", "--d", "7", "--sigma", "3", "--max-degree", "-3"],
+        ["counts", "--d", "7", "--sigma", "3", "--max-degree", "0"],
+        ["counts", "--d", "7", "--sigma", "3", "--method", "formula", "--max-degree", "0"],
+        ["slope", "--d", "7", "--sigma", "3", "--max-degree", "0"],
+        ["components", "--d", "7", "--sigma", "3", "--max-degree", "-3"],
+        ["genus", "--d", "7", "--sigma", "3", "--max-degree", "0"],
+        ["orbifold", "--d", "7", "--sigma", "3", "--max-degree", "0"],
+        ["sweep", "--d-range", "3..7", "--sigma", "3", "--max-degree", "0"],
+    ],
+    ids=["enumerate", "counts", "counts-formula", "slope", "components",
+         "genus", "orbifold", "sweep"],
+)
+def test_max_degree_below_1_is_exit_2_before_any_work(argv, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started under a bound below 1")
+
+    # neither the profile nor the degree bound is read first
+    monkeypatch.setattr(cli, "check_capacity", no_work)
+    monkeypatch.setattr(cli.RamificationProfile, "of", no_work)
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", "error: --max-degree must be at least 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["counts", "--d", "4", "--sigma", "x"],
         ["enumerate", "--d", "0", "--sigma", "3"],
         ["characters", "--d", "3", "--output", "{missing}/f.csv"],

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toruscovers import covers
 from toruscovers.covers import (
@@ -501,6 +501,52 @@ def _start_key(alpha, beta, start):
 def _every_start_key(alpha, beta):
     """The breadth-first origami key minimized over every start point."""
     return min(_start_key(alpha, beta, start) for start in range(len(alpha)))
+
+
+def _support_key_walk(alpha, beta):
+    """The origami key as the least sequence over *every* start of the
+    commutator support, with the number of starts that give it (point 0
+    alone and d automorphisms for a commuting pair)."""
+    d = len(alpha)
+    support = [x for x in range(d) if alpha[beta[x]] != beta[alpha[x]]]
+    keys = [_start_key(alpha, beta, x) for x in support or [0]]
+    key = min(keys)
+    return key, keys.count(key) if support else d
+
+
+# every sigma at d <= 7, and (2,2) at d=8, whose classes have automorphisms
+FILTER_SETS = KEY_SETS[:-1] + [(8, ((2, 2),))]
+
+
+@pytest.mark.parametrize("d,sigmas", FILTER_SETS, ids=[str(d) for d, _ in FILTER_SETS])
+def test_key_walk_from_least_first_steps_matches_every_support_start(d, sigmas):
+    # the walk starts only where its first step ranks least; the oracle
+    # walks every support start.  Every class, its a and b images and a
+    # random relabelling of each, so most keys do not start at point 0
+    rng = random.Random(d)
+    automorphic = 0
+    for sigma in sigmas:
+        for c in _classes_of_sigma(d, sigma):
+            ab = compose(c.alpha, c.beta)
+            for alpha, beta in ((c.alpha, c.beta), (c.alpha, ab), (ab, c.beta)):
+                t = tuple(rng.sample(range(d), d))
+                for pair in ((alpha, beta), (conjugate(t, alpha), conjugate(t, beta))):
+                    want = _support_key_walk(*pair)
+                    assert covers._key_walk(*pair) == want, str(c)
+                    automorphic += want[1] > 1 and compose(*pair) != compose(*pair[::-1])
+    # the (2,2) classes at d = 4, 6 and 8 include non-commuting pairs with
+    # automorphisms, whose tied starts the filter must all keep
+    assert automorphic > 0 or d % 2 or d < 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_key_walk_of_random_transitive_pairs_matches_every_support_start(data):
+    d = data.draw(st.integers(1, 8), label="d")
+    alpha = tuple(data.draw(st.permutations(range(d)), label="alpha"))
+    beta = tuple(data.draw(st.permutations(range(d)), label="beta"))
+    assume(is_transitive((alpha, beta), d))
+    assert covers._key_walk(alpha, beta) == _support_key_walk(alpha, beta)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
