@@ -138,6 +138,26 @@ def test_character_table_past_its_bound_raises_capacity_error():
         CharacterTable.build(17)
 
 
+def test_character_table_of_negative_degree_raises():
+    with pytest.raises(ValueError, match="^character-table degree -3 is negative$"):
+        CharacterTable.build(-3)
+    table = CharacterTable.build(0)
+    assert table.shapes == ((),)
+    assert dict(table.values) == {((), ()): 1}
+
+
+def test_character_table_past_the_tuple_oracle_matches_single_values():
+    # the table is built from the tables of smaller degree; character_value
+    # runs the single-value recursion _mn, whose cache the build leaves alone
+    before = characters._mn.cache_info().currsize
+    tables = {d: CharacterTable.build(d) for d in range(13, MAX_TABLE_DEGREE + 1)}
+    assert characters._mn.cache_info().currsize == before
+    for d, table in tables.items():
+        assert len(table.values) == len(table.shapes) ** 2
+        for (shape, cls), value in table.values.items():
+            assert value == character_value(shape, cls), (shape, cls)
+
+
 def test_character_table_csv():
     csv_text = CharacterTable.build(3).to_csv()
     lines = csv_text.strip().splitlines()
