@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_left
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from operator import add, sub
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
 
 from .covers import (
     ConsistencyError, RamificationProfile, aut_weighted_counts, check_capacity
@@ -131,15 +131,43 @@ def character_degree(shape: Sequence[int]) -> int:
     return value
 
 
+class _TableValues(Mapping):
+    """Read-only (shape, class) -> value view over a table's rows."""
+
+    def __init__(self, shapes: tuple[Partition, ...],
+                 rows: tuple[tuple[int, ...], ...]):
+        self._shapes, self._rows = shapes, rows
+        self._at = {s: i for i, s in enumerate(shapes)}
+
+    def __getitem__(self, key: tuple[Partition, Partition]) -> int:
+        try:
+            shape, cls = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        return self._rows[self._at[shape]][self._at[cls]]
+
+    def __iter__(self) -> Iterator[tuple[Partition, Partition]]:
+        return ((s, c) for s in self._shapes for c in self._shapes)
+
+    def __len__(self) -> int:
+        return len(self._shapes) ** 2
+
+
 @dataclass(frozen=True)
 class CharacterTable:
     """Full character table of S_d: one row per shape, one column per
-    class, both indexed by the partitions of d in reverse-lex order."""
+    class, both indexed by the partitions of d in reverse-lex order;
+    rows[i][j] is the character of shapes[i] on the class shapes[j]."""
 
     degree: int
     shapes: tuple[Partition, ...]
-    values: Mapping[tuple[Partition, Partition], int]
+    rows: tuple[tuple[int, ...], ...]
     degrees: Mapping[Partition, int]
+
+    @cached_property
+    def values(self) -> Mapping[tuple[Partition, Partition], int]:
+        """The table keyed (shape, class): a read-only view over rows."""
+        return _TableValues(self.shapes, self.rows)
 
     @classmethod
     def build(cls, degree: int) -> "CharacterTable":
@@ -166,23 +194,16 @@ class CharacterTable:
                     row += run
                 rows[n][mask] = row
         shapes = tuple(partitions(degree))
-        values = {
-            (s, c): value
-            for s in shapes
-            for c, value in zip(shapes, reversed(rows[degree][_abacus(s, degree)]))
-        }
+        top = tuple(tuple(reversed(rows[degree][_abacus(s, degree)])) for s in shapes)
         degrees = {s: character_degree(s) for s in shapes}
-        return cls(degree, shapes, values, degrees)
+        return cls(degree, shapes, top, degrees)
 
     def to_csv(self) -> str:
         out = io.StringIO()
         head = ["shape"] + ["|".join(map(str, c)) for c in self.shapes]
         out.write(",".join(head) + "\n")
-        for s in self.shapes:
-            row = ["|".join(map(str, s))] + [
-                str(self.values[s, c]) for c in self.shapes
-            ]
-            out.write(",".join(row) + "\n")
+        for s, row in zip(self.shapes, self.rows):
+            out.write(",".join(["|".join(map(str, s)), *map(str, row)]) + "\n")
         return out.getvalue()
 
 

@@ -402,8 +402,7 @@ def cmd_characters(args) -> int:
         "shapes": [list(s) for s in table.shapes],
         "degrees": {"|".join(map(str, s)): table.degrees[s] for s in table.shapes},
         "values": {
-            "|".join(map(str, s)): [table.values[s, c] for c in table.shapes]
-            for s in table.shapes
+            "|".join(map(str, s)): list(row) for s, row in zip(table.shapes, table.rows)
         },
     }
     _emit(args, payload)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -69,11 +70,19 @@ def _oracle_mn(shape, mu):
 
 
 def test_character_table_matches_tuple_recursion():
+    # values is a read-only view over the rows: it equals the dict keyed
+    # (shape, class) in the public order, and rows[i][j] is its entry
     for d in range(1, 13):
         table = CharacterTable.build(d)
-        assert len(table.values) == len(table.shapes) ** 2
-        for (shape, cls), value in table.values.items():
-            assert value == _oracle_mn(shape, cls), (shape, cls)
+        want = {(s, c): _oracle_mn(s, c) for s in table.shapes for c in table.shapes}
+        assert table.values == want
+        assert list(table.values) == list(want)
+        assert [list(row) for row in table.rows] == [
+            [want[s, c] for c in table.shapes] for s in table.shapes
+        ]
+    assert 5 not in table.values and table.values.get(((12,), (13,))) is None
+    with pytest.raises(TypeError):
+        table.values[(12,), (12,)] = 0
 
 
 def test_character_value_matches_tuple_recursion_in_any_part_order():
@@ -163,6 +172,9 @@ def test_character_table_csv():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "shape,3,2|1,1|1|1"
     assert len(lines) == 4
+    # the largest table, pinned byte for byte
+    digest = hashlib.sha256(CharacterTable.build(16).to_csv().encode()).hexdigest()
+    assert digest == "1c3d957079daabb1ce20c4e56396deabc3aea63a29d8a1fceae53a1b61235ff0"
 
 
 @pytest.mark.parametrize(

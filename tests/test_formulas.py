@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,14 +186,15 @@ def test_per_type_formulas_match_live_enumeration(family, d):
         (lambda: closed_N_M(9, "g2_31"), "closed formulas need prime d, got 9"),
         (lambda: family_sigma("g9"), "unknown family 'g9'"),
         (lambda: divisor_sigma(1, 0), "divisor sums need n >= 1"),
+        (lambda: divisor_sigma(-1, 4), "divisor sums need power >= 0"),
         (lambda: eisenstein("S", 3), "unknown series 'S'"),
         (lambda: convolution_identity(1), "identity needs d >= 2"),
         (lambda: sum_identity_l1l2(1), "identity needs d >= 2"),
         (lambda: genus_closed(5, "g3_5"), "g = 2 families only"),
     ],
     ids=["below-family-degree", "composite-degree", "unknown-family",
-         "divisor-sum-zero", "unknown-series", "convolution-degree",
-         "sum-identity-degree", "genus-g3"],
+         "divisor-sum-zero", "divisor-sum-power", "unknown-series",
+         "convolution-degree", "sum-identity-degree", "genus-g3"],
 )
 def test_bad_arguments_raise_value_error_naming_them(call, message):
     with pytest.raises(ValueError, match=message):
@@ -343,6 +345,29 @@ def test_gcd_sums_frozen_values():
     assert gcd_sum_two_one(5) == 1
     assert gcd_sum_two_one(7, printed=True) == 5
     assert gcd_sum_two_one(7) == 4
+
+
+def test_fused_sums_match_the_type_walk():
+    # the tuple-walk definitions the fused loops replaced, over the type
+    # walks that admissible_types still runs
+    def two_sizes(d, weighted):
+        return sum(gcd(l1, a1) * gcd(l2, a2) * (l1 - 2 if weighted else 1)
+                   for l1, a1, l2, a2 in formulas._two_size_solutions(d))
+
+    def three_sizes(d):
+        walk = formulas._three_sizes(d, "g2_22")
+        return sum(gcd(l1, a1) * gcd(l2, a2) * gcd(l3, a3)
+                   for (l1, a1), (l2, a2), (l3, a3) in walk)
+
+    for d in range(2, MAX_CLOSED_FORM_DEGREE + 1):
+        assert gcd_sum_two_sizes(d) == two_sizes(d, False), d
+        assert gcd_sum_two_sizes(d, weight_l1_minus_2=True) == two_sizes(d, True), d
+        assert gcd_sum_three_sizes(d) == three_sizes(d), d
+        assert sum_identity_l1l2(d)[0] == sum(
+            l1 * l2 for l1, _, l2, _ in formulas._two_size_solutions(d)), d
+    for d in range(2, 501):
+        assert convolution_identity(d)[0] == sum(
+            divisor_sigma(1, k) * divisor_sigma(1, d - k) for k in range(1, d)), d
 
 
 def test_genus_closed_both_variants():
