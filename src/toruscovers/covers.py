@@ -39,6 +39,14 @@ beta^-1 [alpha, beta] beta), so it is one-to-one on the classes of sigma:
 an unscanned type's classes are the images of the scanned classes whose
 alpha has that type, canonicalized by a backtrack (:func:`_min_conjugate`)
 that never lists their large centralizers (10,080 elements for (2,1^7)).
+
+The scans of C(beta0) hold its elements z, with z^-1, as d-byte strings,
+and build each conjugate in C: with ``tbl(p) = bytes(p) + bytes(256 - d)``
+a :meth:`bytes.translate` table, ``zinv.translate(tbl(p))`` is p z^-1 and
+translating that by ``tbl(z)`` gives z p z^-1.  The table of the fixed p
+is built once per scan; bytes compare in the lexicographic order of the
+tuples they spell.  Points, like the labels of :func:`origami_key`, must
+then fit in a byte, so no degree past 256 is enumerated or keyed.
 """
 from __future__ import annotations
 
@@ -73,8 +81,13 @@ from .perms import (
 
 DEFAULT_MAX_DEGREE = 9
 
-# centralizers up to this order are kept in memory once per cycle type;
-# larger ones are streamed afresh on every scan (see _TypeContext.groups)
+# points are bytes in origami keys and centralizer scans
+_MAX_LABEL_DEGREE = 256
+
+# centralizers up to this order are kept in memory once per cycle type,
+# about 160 bytes per element at d = 12 (a (z, z^-1) pair of byte strings;
+# 340 as tuples of ints), so at most about 10 MB each; larger ones are
+# streamed afresh on every scan (see _TypeContext.groups)
 _MATERIALIZE_LIMIT = 60_000
 
 
@@ -98,10 +111,11 @@ def check_capacity(
 
 def _check_degree(degree: int, profile: RamificationProfile, max_degree: int) -> None:
     """Check a request for the classes of ``profile``: its degree is
-    ``degree``, within the bound ``max_degree``."""
+    ``degree``, within the bound ``max_degree`` and the byte-label bound."""
     if degree != profile.degree:
         raise ValueError("profile degree mismatch")
     check_capacity(degree, max_degree)
+    check_capacity(degree, _MAX_LABEL_DEGREE, "byte-label degree")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +185,7 @@ class RamificationProfile:
 # canonical forms
 
 
-_Group = tuple[tuple[int, ...], Iterable[tuple[Perm, Perm]]]
+_Group = tuple[tuple[int, ...], Iterable[tuple[bytes, bytes]]]
 
 
 @dataclass(frozen=True)
@@ -185,26 +199,34 @@ class _TypeContext:
 
     def groups(self) -> Iterable[_Group]:
         """C(beta0) grouped by the permutation pi of beta0's cycles, as in
-        :func:`centralizer_groups`: each pi with the (z, z^-1) of its group.
-        The cached tuple when the centralizer is small enough to keep, else
-        a fresh stream, in which a group that is not iterated builds
-        nothing."""
+        :func:`centralizer_groups`: each pi with the (z, z^-1) of its group,
+        as d-byte strings.  The cached tuple when the centralizer is small
+        enough to keep, else a fresh stream, in which a group that is not
+        iterated builds nothing."""
         if self.order > _MATERIALIZE_LIMIT:
-            return ((pi, ((z, inverse(z)) for z in zs))
+            return ((pi, _with_inverses(zs, len(self.rep)))
                     for pi, zs in centralizer_groups(self.parts))
         return self._cached_groups
 
-    def pairs(self) -> Iterable[tuple[Perm, Perm]]:
+    def pairs(self) -> Iterable[tuple[bytes, bytes]]:
         """Every (z, z^-1) with z in C(beta0), read from :meth:`groups`."""
         return chain.from_iterable(group for _, group in self.groups())
 
     @cached_property
     def _cached_groups(self) -> tuple[_Group, ...]:
-        groups = tuple((pi, tuple((z, inverse(z)) for z in zs))
+        groups = tuple((pi, tuple(_with_inverses(zs, len(self.rep))))
                        for pi, zs in centralizer_groups(self.parts))
         if sum(len(group) for _, group in groups) != self.order:
             raise ConsistencyError("centralizer enumeration size mismatch")
         return groups
+
+
+def _with_inverses(zs: Iterable[Perm], d: int) -> Iterator[tuple[bytes, bytes]]:
+    """Each z of ``zs`` (of degree d) as bytes, with z^-1: the table
+    bytes.maketrans(z, identity) maps z[x] to x."""
+    identity = bytes(range(d))
+    for z in map(bytes, zs):
+        yield z, bytes.maketrans(z, identity)[:d]
 
 
 @lru_cache(maxsize=None)
@@ -212,22 +234,12 @@ def _type_context(parts: Partition) -> _TypeContext:
     return _TypeContext(parts, type_rep(parts), centralizer_order(parts))
 
 
-def _min_over_elements(alpha: Perm, ctx: _TypeContext) -> Perm:
-    """Smallest conjugate of alpha under the centralizer, compared
-    lexicographically with early abort."""
-    d = len(alpha)
-    best = list(alpha)
-    for z, zinv in ctx.pairs():
-        for x in range(d):
-            v = z[alpha[zinv[x]]]
-            b = best[x]
-            if v > b:
-                break
-            if v < b:
-                cand = [z[alpha[zinv[y]]] for y in range(d)]
-                best = cand
-                break
-    return tuple(best)
+def _min_over_elements(alpha: Sequence[int], ctx: _TypeContext) -> Perm:
+    """Smallest conjugate z alpha z^-1 over the centralizer, each built by
+    two translates (see the module docstring) and compared as bytes."""
+    pad = bytes(256 - len(alpha))
+    table = bytes(alpha) + pad
+    return tuple(min(zinv.translate(table).translate(z + pad) for z, zinv in ctx.pairs()))
 
 
 def _scanned(parts: Partition) -> bool:
@@ -353,6 +365,8 @@ def _key_walk(alpha: Perm, beta: Perm) -> tuple[bytes, int]:
         raise ValueError("empty permutation")
     if len(beta) != d:
         raise ValueError("degree mismatch")
+    if d > _MAX_LABEL_DEGREE:
+        raise ValueError(f"degree {d} exceeds the byte-label bound {_MAX_LABEL_DEGREE}")
     # the support starts of least first step, ranked 0, 1, 3, 4, 5
     starts: list[int] = []
     least = 6
@@ -551,21 +565,23 @@ def _lattice_index(key: bytes) -> int:
 
 @dataclass(frozen=True)
 class _StabilizerScan:
-    """Every (s, s^-1) with s in Stab(gamma) of C(beta0), read afresh
-    from :meth:`_TypeContext.pairs` on each iteration.  The identity is
-    central, so for it that is all of C(beta0), yielded untested."""
+    """Every (s, s^-1) with s in Stab(gamma) of C(beta0), as bytes, read
+    afresh from :meth:`_TypeContext.pairs` on each iteration.  The identity
+    is central, so for it that is all of C(beta0), yielded untested."""
 
     ctx: _TypeContext
     gamma: Perm
 
-    def __iter__(self) -> Iterator[tuple[Perm, Perm]]:
+    def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         gamma = self.gamma
-        points = range(len(gamma))
-        if all(map(eq, gamma, points)):
+        if all(map(eq, gamma, range(len(gamma)))):
             yield from self.ctx.pairs()
             return
+        pad = bytes(256 - len(gamma))
+        target = bytes(gamma)
+        table = target + pad
         for z, zinv in self.ctx.pairs():
-            if tuple([z[gamma[zinv[x]]] for x in points]) == gamma:
+            if zinv.translate(table).translate(z + pad) == target:
                 yield z, zinv
 
 
@@ -597,27 +613,29 @@ def _joins_cycles(pi: tuple[int, ...], hits: Sequence[set[int]]) -> bool:
 def _coset_reps(
     ctx: _TypeContext,
     a0: Perm,
-    stab: Iterable[tuple[Perm, Perm]],
+    stab: Iterable[tuple[bytes, bytes]],
 ) -> list[Perm]:
     """Canonical alphas of the transitive classes meeting the coset
     ``a0 C(beta0)``: each class meets the coset in one orbit of ``stab``
-    (the (s, s^-1) pairs of Stab(gamma)), so each is canonicalized once.
-    Transitivity is decided once per group of :meth:`_TypeContext.groups`,
-    and an intransitive group is skipped whole."""
-    points = range(len(a0))
+    (the (s, s^-1) pairs of Stab(gamma), as bytes), so each is
+    canonicalized once.  Transitivity is decided once per group of
+    :meth:`_TypeContext.groups`, and an intransitive group is skipped
+    whole."""
+    pad = bytes(256 - len(a0))
+    table = bytes(a0) + pad
     hits = _cycle_hits(ctx, a0)
-    seen: set[Perm] = set()
+    seen: set[bytes] = set()
     reps = []
     for pi, group in ctx.groups():
         if not _joins_cycles(pi, hits):
             continue
         for z, _ in group:
-            alpha = tuple([a0[x] for x in z])
+            alpha = z.translate(table)  # a0 z
             if alpha in seen:
                 continue
             reps.append(_min_over_elements(alpha, ctx))
-            for s, sinv in stab:
-                seen.add(tuple([s[alpha[sinv[x]]] for x in points]))
+            t = alpha + pad
+            seen.update(sinv.translate(t).translate(s + pad) for s, sinv in stab)
     return reps
 
 
@@ -637,44 +655,50 @@ def _canonical_support(mask: int, parts: Partition) -> bool:
     return True
 
 
+def _gamma_orbit(
+    ctx: _TypeContext, gamma: Perm,
+) -> tuple[set[bytes], Iterable[tuple[bytes, bytes]]]:
+    """The C(beta0)-orbit of gamma, as bytes, and Stab(gamma), as its
+    (s, s^-1) pairs, from one pass over C(beta0).  The identity is central;
+    a stabilizer too large to keep is scanned out of C(beta0) again."""
+    target = bytes(gamma)
+    if all(map(eq, gamma, range(len(gamma)))):  # trivial sigma
+        return {target}, _StabilizerScan(ctx, gamma)
+    pad = bytes(256 - len(gamma))
+    table = target + pad
+    orbit: set[bytes] = set()
+    kept: Optional[list[tuple[bytes, bytes]]] = []
+    stab_order = 0
+    for z, zinv in ctx.pairs():
+        c = zinv.translate(table).translate(z + pad)
+        orbit.add(c)
+        if c == target:
+            stab_order += 1
+            if kept is not None:
+                kept.append((z, zinv))
+                if len(kept) > _MATERIALIZE_LIMIT:
+                    kept = None
+    if len(orbit) * stab_order != ctx.order:
+        raise ConsistencyError("gamma orbit and stabilizer sizes do not match")
+    return orbit, kept if kept is not None else _StabilizerScan(ctx, gamma)
+
+
 def _alphas_for_type(ctx: _TypeContext, gammas: Iterable[Perm]) -> list[Perm]:
     """Canonical alphas of the cover classes with beta = ctx.rep whose
     commutator lies in sigma's class, given by ``gammas``, which meet each
     of its C(beta0)-orbits."""
     beta0 = ctx.rep
-    points = range(len(beta0))
-    seen_gamma: set[Perm] = set()
+    seen_gamma: set[bytes] = set()
     reps: list[Perm] = []
     for gamma in gammas:
-        if gamma in seen_gamma:
+        if bytes(gamma) in seen_gamma:
             continue
         delta = tuple([gamma[x] for x in beta0])
         if cycle_type(delta) != ctx.parts:  # cheaper than a layout; most miss
             continue
-        a0 = inverse(cycle_layout(delta)[1])
-        if all(map(eq, gamma, points)):  # trivial sigma: gamma is central
-            seen_gamma.add(gamma)
-            reps.extend(_coset_reps(ctx, a0, _StabilizerScan(ctx, gamma)))
-            continue
-        # one pass over C(beta0) gives gamma's orbit and its stabilizer;
-        # a stabilizer too large to keep is scanned out of C(beta0) again
-        orbit: set[Perm] = set()
-        kept: Optional[list[tuple[Perm, Perm]]] = []
-        stab_order = 0
-        for z, zinv in ctx.pairs():
-            c = tuple([z[gamma[zinv[x]]] for x in points])
-            orbit.add(c)
-            if c == gamma:
-                stab_order += 1
-                if kept is not None:
-                    kept.append((z, zinv))
-                    if len(kept) > _MATERIALIZE_LIMIT:
-                        kept = None
-        if len(orbit) * stab_order != ctx.order:
-            raise ConsistencyError("gamma orbit and stabilizer sizes do not match")
+        orbit, stab = _gamma_orbit(ctx, gamma)
         seen_gamma |= orbit
-        stab = kept if kept is not None else _StabilizerScan(ctx, gamma)
-        reps.extend(_coset_reps(ctx, a0, stab))
+        reps.extend(_coset_reps(ctx, inverse(cycle_layout(delta)[1]), stab))
     return reps
 
 

@@ -473,15 +473,14 @@ def gcd_sum_two_one(degree: int, printed: bool = False) -> Fraction:
     is (a1 - 1) gcd(a2, 2)/2 (orbits of size 2/gcd(a2, 2)), which is
     what the default computes.  Pass printed=True for the literal
     published expression."""
-    total = Fraction(0)
-    for a2 in range(1, degree // 2 + 1):
-        a1 = degree - 2 * a2
-        if a1 >= 1:
-            if printed:
-                total += Fraction(a1 - 1, gcd(a2, 2))
-            else:
-                total += Fraction((a1 - 1) * gcd(a2, 2), 2)
-    return total
+    # every term is a whole or half integer: sum twice each as an int,
+    # over the a2 with a1 = degree - 2 a2 >= 1
+    a2s = range(1, (degree - 1) // 2 + 1)
+    if printed:
+        twice = sum(2 * (degree - 2 * a2 - 1) // gcd(a2, 2) for a2 in a2s)
+    else:
+        twice = sum((degree - 2 * a2 - 1) * gcd(a2, 2) for a2 in a2s)
+    return Fraction(twice, 2)
 
 
 @dataclass(frozen=True)

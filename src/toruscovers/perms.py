@@ -4,7 +4,9 @@ Permutations are plain tuples of 0-based images: ``p[i]`` is where point
 ``i`` goes.  Everything user-facing (cycle strings, JSON) is 1-based; the
 translation happens only in the parser/printer.  Composition is
 right-factor-first: ``compose(p, q)`` applies ``q`` first, then ``p``, so
-``compose(p, q)[x] == p[q[x]]``.
+``compose(p, q)[x] == p[q[x]]``.  The centralizer scans of
+:mod:`toruscovers.covers` hold the elements they read from here as byte
+strings, which index and compare as these tuples do.
 
 Cycle types double as integer partitions (tuples sorted descending), and
 the partition helpers here are shared by the counting and character

@@ -1019,6 +1019,21 @@ def test_max_degree_below_1_is_exit_2_before_any_work(argv, capsys, monkeypatch)
     assert (code, out, err) == (2, "", "error: --max-degree must be at least 1\n")
 
 
+@pytest.mark.parametrize("command", ["enumerate", "counts", "slope", "components"])
+def test_degree_past_the_byte_labels_is_exit_3_before_any_work(command, capsys, monkeypatch):
+    # the key and the centralizer scans spell points as bytes, so d = 257
+    # is refused under --max-degree 257 before the types of d are listed
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the byte-label bound")
+
+    monkeypatch.setattr(covers, "partitions", no_work)
+    monkeypatch.setattr(monodromy, "_alphas_by_type", no_work)
+    argv = [command, "--d", "257", "--sigma", "3", "--max-degree", "257"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: byte-label degree 257 exceeds its bound 256\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -227,6 +227,114 @@ def test_min_conjugate_matches_centralizer_scan(d):
     assert len(classes) == {1: 1, 2: 3, 3: 7, 4: 26, 5: 97, 6: 624, 7: 4163, 8: 1265}[d]
 
 
+@lru_cache(maxsize=None)
+def _tuple_pairs(parts):
+    """C(type_rep(parts)) as (z, z^-1) tuples, in centralizer_groups order."""
+    return tuple((z, inverse(z)) for z in _centralizer_elements(parts))
+
+
+def _tuple_min_over_elements(alpha, parts):
+    """The early-abort tuple scan that the byte kernel replaced: the
+    lex-least z alpha z^-1 over z in C(type_rep(parts))."""
+    d = len(alpha)
+    best = list(alpha)
+    for z, zinv in _tuple_pairs(parts):
+        for x in range(d):
+            v = z[alpha[zinv[x]]]
+            b = best[x]
+            if v > b:
+                break
+            if v < b:
+                best = [z[alpha[zinv[y]]] for y in range(d)]
+                break
+    return tuple(best)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_byte_scan_matches_the_tuple_scan(d):
+    # every class of a scanned beta type, every sigma, and one random
+    # simultaneous conjugate of each, relabelled so beta is ctx.rep
+    rng = random.Random(d)
+    count = 0
+    for sigma in partitions(d):
+        for c in enumerate_classes(d, RamificationProfile.of(d, sigma)):
+            if not covers._scanned(c.beta_type):
+                continue
+            ctx = _type_context(c.beta_type)
+            t = tuple(rng.sample(range(d), d))
+            u = cycle_layout(conjugate(t, c.beta))[1]
+            alpha = conjugate(u, conjugate(t, c.alpha))
+            for a in (c.alpha, alpha):
+                got = covers._min_over_elements(a, ctx)
+                assert got == _tuple_min_over_elements(a, ctx.parts) == c.alpha, (c, a)
+                assert type(got) is tuple
+            count += 1
+    assert count == {1: 1, 2: 2, 3: 6, 4: 21, 5: 92, 6: 566, 7: 4076, 8: 33205}[d]
+
+
+@pytest.mark.parametrize("streamed", [False, True], ids=["cached", "streamed"])
+def test_centralizer_pairs_are_bytes_with_inverses_in_group_order(monkeypatch, streamed):
+    if streamed:
+        monkeypatch.setattr(covers, "_MATERIALIZE_LIMIT", 0)
+    for d in range(1, 8):
+        for parts in partitions(d):
+            ctx = _type_context(parts)
+            groups = ctx.groups()
+            assert (groups is ctx._cached_groups) != streamed
+            groups = [(pi, list(group)) for pi, group in groups]
+            assert [(pi, [z for z, _ in group]) for pi, group in groups] == [
+                (pi, [bytes(z) for z in zs]) for pi, zs in centralizer_groups(parts)]
+            pairs = list(ctx.pairs())
+            assert pairs == [pair for _, group in groups for pair in group]
+            assert len(pairs) == ctx.order
+            for z, zinv in pairs:
+                assert type(z) is bytes and type(zinv) is bytes and len(zinv) == d
+                assert all(z[zinv[x]] == x for x in range(d))
+
+
+def _tuple_orbit_and_stabilizer(parts, gamma):
+    """gamma's orbit under C(type_rep(parts)) and its stabilizer, as tuples,
+    by a tuple scan."""
+    orbit, stab = set(), []
+    for z, zinv in _tuple_pairs(parts):
+        c = tuple([z[gamma[zinv[x]]] for x in range(len(gamma))])
+        orbit.add(c)
+        if c == gamma:
+            stab.append((z, zinv))
+    return orbit, stab
+
+
+@pytest.mark.parametrize("limit", [60_000, 3], ids=["kept", "rescanned"])
+def test_gamma_orbit_and_stabilizer_match_a_tuple_scan(monkeypatch, limit):
+    # every gamma the enumeration scans, every sigma at d <= 7; under a
+    # limit of 3 most stabilizers are scanned out of C(beta0) again
+    scanned = []
+    real = covers._gamma_orbit
+
+    def recording(ctx, gamma):
+        scanned.append((ctx, gamma))
+        return real(ctx, gamma)
+
+    monkeypatch.setattr(covers, "_gamma_orbit", recording)
+    for d in range(1, 8):
+        for sigma in partitions(d):
+            enumerate_classes(d, RamificationProfile.of(d, sigma))
+    monkeypatch.setattr(covers, "_MATERIALIZE_LIMIT", limit)
+    rescans = 0
+    for ctx, gamma in scanned:
+        orbit, stab = real(ctx, gamma)
+        want_orbit, want_stab = _tuple_orbit_and_stabilizer(ctx.parts, gamma)
+        assert {tuple(c) for c in orbit} == want_orbit, (ctx.parts, gamma)
+        assert [(tuple(s), tuple(sinv)) for s, sinv in stab] == want_stab
+        assert len(orbit) * len(want_stab) == ctx.order
+        # the identity's stabilizer, all of C(beta0), is always read afresh
+        central = gamma == tuple(range(len(gamma)))
+        assert isinstance(stab, covers._StabilizerScan) or not central
+        rescans += isinstance(stab, covers._StabilizerScan) and not central
+    assert len(scanned) == 757
+    assert (rescans > 0) == (limit == 3)
+
+
 # sha256 of the "{profile} {class}" lines of d=10 lists that are too long
 # for the golden corpus, frozen from the enumeration that walked the cosets
 # of every beta type
@@ -711,6 +819,28 @@ def test_capacity_guard():
     # weighted counts enumerate and share the bound
     with pytest.raises(CapacityError):
         aut_weighted_counts(10, RamificationProfile.of(10, [2, 2]))
+
+
+def test_degree_past_the_byte_labels_is_refused_before_any_work(monkeypatch):
+    # the scans and the key spell points as bytes: d = 257 is refused under
+    # a bound of 257 before the types of d are listed
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the byte-label bound")
+
+    monkeypatch.setattr(covers, "partitions", no_work)
+    prof = RamificationProfile.of(257, "3")
+    with pytest.raises(CapacityError, match="^byte-label degree 257 exceeds its bound 256$"):
+        enumerate_classes(257, prof, max_degree=257)
+    with pytest.raises(CapacityError, match="byte-label degree 257"):
+        count_table(257, prof, max_degree=300)
+    cycle = tuple(range(1, 257)) + (0,)
+    with pytest.raises(ValueError, match="^degree 257 exceeds the byte-label bound 256$"):
+        covers._key_walk(cycle, tuple(range(257)))
+    with pytest.raises(ValueError, match="degree 257"):
+        origami_key(cycle, cycle)
+    # 256 points still fit: the 256-cycle commutes with itself, index d
+    cycle = tuple(range(1, 256)) + (0,)
+    assert period_lattice_index(cycle, cycle) == 256
 
 
 def test_weighted_count_against_raw_pair_scan():

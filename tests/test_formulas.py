@@ -370,6 +370,20 @@ def test_fused_sums_match_the_type_walk():
             divisor_sigma(1, k) * divisor_sigma(1, d - k) for k in range(1, d)), d
 
 
+def test_two_one_sum_of_twice_each_term_matches_per_term_fractions():
+    # the definition: one Fraction per a2 with a1 = d - 2 a2 >= 1
+    def per_term(d, printed):
+        return sum((Fraction(a1 - 1, gcd(a2, 2)) if printed
+                    else Fraction((a1 - 1) * gcd(a2, 2), 2)
+                    for a2 in range(1, d // 2 + 1) for a1 in [d - 2 * a2] if a1 >= 1),
+                   Fraction(0))
+
+    for d in range(2, 200):
+        for printed in (False, True):
+            got = gcd_sum_two_one(d, printed=printed)
+            assert type(got) is Fraction and got == per_term(d, printed), (d, printed)
+
+
 def test_genus_closed_both_variants():
     f = genus_closed(5, "g2_31")
     assert (f.printed, f.repaired) == (112, 88)
