@@ -565,8 +565,8 @@ def verify_origami() -> Iterator[Check]:
         parse_cycles("(1 3 2 4 5 6 7)"), parse_cycles("(1 2)", 7)
     )
     dec = decompose(7, RamificationProfile.of(7, "2,2"))
-    where = {dec.classes[i]: n for n, comp in enumerate(dec.components) for i in comp}
-    in1, in2 = where.get(w1), where.get(w2)
+    where = {dec.classes[i].key: n for n, comp in enumerate(dec.components) for i in comp}
+    in1, in2 = where.get(w1.key), where.get(w2.key)
     kinds = "/".join(classify_group([w.alpha, w.beta], w.degree) for w in (w1, w2))
     yield (
         "the two witness pairs for sigma=(2,2,1^3), d=7 lie in distinct "

@@ -87,7 +87,8 @@ _MAX_LABEL_DEGREE = 256
 # centralizers up to this order are kept in memory once per cycle type,
 # about 160 bytes per element at d = 12 (a (z, z^-1) pair of byte strings;
 # 340 as tuples of ints), so at most about 10 MB each; larger ones are
-# streamed afresh on every scan (see _TypeContext.groups)
+# streamed afresh on every scan (see _TypeContext.groups), and the classes
+# of their cosets are canonicalized by _min_conjugate instead of a scan
 _MATERIALIZE_LIMIT = 60_000
 
 
@@ -244,8 +245,9 @@ def _min_over_elements(alpha: Sequence[int], ctx: _TypeContext) -> Perm:
 
 def _scanned(parts: Partition) -> bool:
     """Whether beta type ``parts`` has at most (d+1)/2 cycles: enumeration
-    walks its cosets and canonicalizes by scanning its centralizer; every
-    other type is reached by the quarter turn and :func:`_min_conjugate`."""
+    walks its cosets and canonicalizes by scanning its centralizer (or by
+    :func:`_min_conjugate`, past ``_MATERIALIZE_LIMIT``); every other type
+    is reached by the quarter turn and :func:`_min_conjugate`."""
     return 2 * len(parts) <= sum(parts) + 1
 
 
@@ -425,8 +427,11 @@ def _key_walk(alpha: Perm, beta: Perm) -> tuple[bytes, int]:
 
 @dataclass(frozen=True)
 class CoverClass:
-    """One equivalence class of cover pairs, stored by its canonical
-    representative."""
+    """One equivalence class of cover pairs, stored by one representative
+    pair: an enumerated class (and one built by :meth:`from_pair`) holds
+    its canonical pair, a class found by a walk holds the pair that
+    reached it.  :attr:`key` is the identity of the class; every
+    invariant read here is one of conjugation."""
 
     alpha: Perm
     beta: Perm
@@ -459,10 +464,11 @@ class CoverClass:
 
     @classmethod
     def _with_walk(cls, pair: tuple[Perm, Perm], walk: tuple[bytes, int]) -> "CoverClass":
-        """The class of ``pair``, canonicalized once, holding ``walk``, the
-        :func:`_key_walk` of ``pair``: key and automorphism count are the
-        same for every pair of a class, so nothing walks it again."""
-        c = cls.from_pair(*pair)
+        """The class of ``pair``, held as ``pair`` itself, not canonicalized,
+        with ``walk``, the :func:`_key_walk` of ``pair``: key and
+        automorphism count are the same for every pair of a class, so
+        nothing walks it again."""
+        c = cls(*pair)
         vars(c)["_walk"] = walk
         return c
 
@@ -618,9 +624,12 @@ def _coset_reps(
     """Canonical alphas of the transitive classes meeting the coset
     ``a0 C(beta0)``: each class meets the coset in one orbit of ``stab``
     (the (s, s^-1) pairs of Stab(gamma), as bytes), so each is
-    canonicalized once.  Transitivity is decided once per group of
-    :meth:`_TypeContext.groups`, and an intransitive group is skipped
-    whole."""
+    canonicalized once: by a scan of the kept centralizer, or by
+    :func:`_min_conjugate` when it is too large to keep, so that it is not
+    streamed afresh for every class.  Transitivity is decided once per
+    group of :meth:`_TypeContext.groups`, and an intransitive group is
+    skipped whole."""
+    streamed = ctx.order > _MATERIALIZE_LIMIT
     pad = bytes(256 - len(a0))
     table = bytes(a0) + pad
     hits = _cycle_hits(ctx, a0)
@@ -633,7 +642,8 @@ def _coset_reps(
             alpha = z.translate(table)  # a0 z
             if alpha in seen:
                 continue
-            reps.append(_min_over_elements(alpha, ctx))
+            reps.append(_min_conjugate(alpha, ctx.parts) if streamed
+                        else _min_over_elements(alpha, ctx))
             t = alpha + pad
             seen.update(sinv.translate(t).translate(s + pad) for s, sinv in stab)
     return reps

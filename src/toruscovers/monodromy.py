@@ -28,14 +28,17 @@ Without a class list, ``decompose`` at a prime degree of a closed family
 enumerating them.  The seeds are the classes whose beta has type (d) or
 (d-1,1): their centralizers have order d and d-1, so
 ``covers._alphas_for_type`` finds them cheaply.  A breadth-first walk
-over <a, b> from the seeds, keyed by the origami key, reaches the rest,
-canonicalizing each new class once; each class costs the key walks of
-its two images.  The seeds reach every component at prime d (a
-component with neither type shows up at composite d, such as d=12 for
-(3)), but that is never assumed: the walked classes' N and M must equal
-``formulas.closed_N_M``, the closed count at prime d, or the walk
-raises ConsistencyError.  The classes are then put in enumeration
-order, so the decomposition is the one of the enumerated list.
+over <a, b> from the seeds, keyed by the origami key, reaches the rest.
+Each new class holds the pair that reached it, not a canonical one:
+every invariant read from a decomposition (beta type, key, twists,
+automorphisms, primitivity, parity) is one of conjugation, so nothing is
+canonicalized, and each class costs the key walks of its two images.
+The seeds reach every component at prime d (a component with neither
+type shows up at composite d, such as d=12 for (3)), but that is never
+assumed: the walked classes' N and M must equal ``formulas.closed_N_M``,
+the closed count at prime d, or the walk raises ConsistencyError.  The
+classes stay in walk order; the components and local orbits are those of
+the enumerated list as sets of keys.
 """
 from __future__ import annotations
 
@@ -141,9 +144,9 @@ def decompose(
 def _walked_classes(
     degree: int, profile: RamificationProfile, family: str, max_degree: int,
 ) -> list[CoverClass]:
-    """The classes of ``profile`` at prime ``degree``, in
-    :func:`enumerate_classes` order, by the walk of <a, b> from the seeds
-    (see the module docstring), gated by the closed count of ``family``."""
+    """The classes of ``profile`` at prime ``degree``, in walk order, by
+    the walk of <a, b> from the seeds (see the module docstring), gated by
+    the closed count of ``family``."""
     _check_degree(degree, profile, max_degree)
     found: dict[bytes, CoverClass] = {}
     for parts, alphas in _alphas_by_type(profile, [(degree,), (degree - 1, 1)]):
@@ -163,8 +166,6 @@ def _walked_classes(
         raise ConsistencyError(
             f"the walk from the seeds reached N={table.N} M={table.M} at "
             f"d={degree} sigma={profile}, the closed count N={N} M={M}")
-    classes.sort(key=lambda c: c.alpha)
-    classes.sort(key=lambda c: c.beta_type, reverse=True)  # stable: beta type, then alpha
     return classes
 
 

@@ -434,6 +434,38 @@ def test_streamed_centralizer_matches_cached(monkeypatch):
     )
 
 
+def test_streamed_cosets_are_canonicalized_by_the_backtrack(monkeypatch):
+    # a centralizer too large to keep is not scanned once per class: its
+    # cosets' classes are canonicalized by _min_conjugate, which gives the
+    # lex-least conjugate the scan of the kept centralizer gives
+    def every_list():
+        return {(d, sigma): enumerate_classes(d, RamificationProfile.of(d, sigma))
+                for d in range(1, 8) for sigma in partitions(d)}
+
+    scans = []
+    real_scan = covers._min_over_elements
+
+    def recording_scan(alpha, ctx):
+        scans.append(ctx.parts)
+        return real_scan(alpha, ctx)
+
+    _type_context.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(covers, "_min_over_elements", recording_scan)
+            scanned = every_list()
+            assert scans
+            m.setattr(covers, "_MATERIALIZE_LIMIT", 0)
+            _type_context.cache_clear()
+            del scans[:]
+            backtracked = every_list()
+            assert scans == []
+    finally:
+        _type_context.cache_clear()
+    assert backtracked == scanned
+    assert sum(map(len, scanned.values())) == 4921
+
+
 def _scanned_stabilizer_order(c):
     """The former ``CoverClass.stabilizer_order``: scan all of C(beta0)
     for the elements that commute with alpha."""

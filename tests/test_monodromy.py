@@ -21,6 +21,7 @@ from toruscovers.monodromy import (
     twist_tables,
 )
 from toruscovers.formulas import per_type_N
+from toruscovers.geometry import component_rows
 from toruscovers.origami import ur_orbits
 from toruscovers.perms import (
     commutator,
@@ -384,16 +385,26 @@ _WALKED += [("5", d) for d in (5, 7, 11)]
 @pytest.mark.parametrize("sigma,d", _WALKED)
 def test_walk_equals_the_enumerated_decomposition(sigma, d):
     # without a list, decompose walks from the seeds at a prime degree of a
-    # closed family; its classes, components and local orbits are those of
-    # the enumerated list, class for class
+    # closed family; its classes stay in walk order, each held by the pair
+    # that reached it, so the components and local orbits are those of the
+    # enumerated list as sets of keys
     prof = RamificationProfile.of(d, sigma)
     walked = decompose(d, prof, max_degree=d)
     enumerated = decompose(d, prof, enumerate_classes(d, prof, max_degree=d), max_degree=d)
-    assert walked == enumerated
+
+    def keyed(dec, orbits):
+        return sorted(sorted(dec.classes[i].key for i in o) for o in orbits)
+
+    assert keyed(walked, walked.components) == keyed(enumerated, enumerated.components)
+    assert keyed(walked, walked.local_orbits) == keyed(enumerated, enumerated.local_orbits)
     # each walked class holds the key, automorphism count and image keys
-    # of its class
-    for w, e in zip(walked.classes, enumerated.classes):
+    # of the enumerated class with its key
+    by_key = {e.key: e for e in enumerated.classes}
+    assert len(walked.classes) == len(by_key)
+    for w in walked.classes:
+        e = by_key[w.key]
         assert (w.key, w.stabilizer_order, w.twists) == (e.key, e.stabilizer_order, e.twists)
+    assert component_rows(prof, walked) == component_rows(prof, enumerated)
 
 
 def test_walk_past_the_bound_is_a_capacity_error():
@@ -425,8 +436,8 @@ def test_walk_short_of_the_closed_count_raises(monkeypatch):
 
 def test_walk_keys_each_class_once_and_enumerates_nothing(monkeypatch):
     # each seed is keyed once; every class walks its a and b images once,
-    # and a new class is canonicalized once and keeps the walk of the
-    # image that reached it, so the tables read the kept keys
+    # and a new class is held as the image pair that reached it, never
+    # canonicalized, with that pair's walk, so the tables read the kept keys
     d, prof = 11, RamificationProfile.of(11, "2,2")
     calls = {"enumerate_classes": 0, "canonical_pair": 0, "_key_walk": 0}
 
@@ -445,7 +456,7 @@ def test_walk_keys_each_class_once_and_enumerates_nothing(monkeypatch):
     seeds = sum(c.beta_type in ((d,), (d - 1, 1)) for c in dec.classes)
     # the closed per-type counts of (11) and (10,1)
     assert seeds == per_type_N(d, "g2_22", (d,)) + per_type_N(d, "g2_22", (d - 1, 1)) == 410
-    assert calls == {"enumerate_classes": 0, "canonical_pair": 1440 - seeds,
+    assert calls == {"enumerate_classes": 0, "canonical_pair": 0,
                      "_key_walk": 2 * 1440 + seeds}
     calls.update(dict.fromkeys(calls, 0))
     twist_tables(dec.classes)
