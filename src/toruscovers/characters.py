@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
-from operator import add, sub
+from operator import add, eq, sub
 from types import MappingProxyType
 
 from .covers import (
@@ -41,7 +41,6 @@ from .perms import (
     as_partition,
     class_elements,
     class_size,
-    compose,
     cycle_type,
     partitions,
     type_rep,
@@ -273,14 +272,19 @@ def _character_counts(tau: Partition) -> Mapping[Partition, int]:
 def _convolution_counts(tau: Partition) -> Mapping[Partition, int]:
     """Nhat of every beta type for the commutator class tau, from one pass
     over the class: d! times the number of its elements g with g*beta0 in
-    beta0's class, beta0 = type_rep(type)."""
+    beta0's class, beta0 = type_rep(type).  g*beta0 is one translate; its
+    cycle type is read only if its fixed points number the type's 1-parts."""
     degree = sum(tau)
     check_capacity(degree, MAX_CONVOLUTION_DEGREE, "convolution-table degree")
-    reps = [(p, type_rep(p)) for p in partitions(degree)]
+    reps = [(p, bytes(type_rep(p)), p.count(1)) for p in partitions(degree)]
     hits = dict.fromkeys(partitions(degree), 0)
+    points = range(degree)
+    pad = bytes(256 - degree)
     for g in class_elements(tau):
-        for p, beta0 in reps:
-            if cycle_type(compose(g, beta0)) == p:
+        table = bytes(g) + pad
+        for p, beta0, ones in reps:
+            prod = beta0.translate(table)
+            if sum(map(eq, prod, points)) == ones and cycle_type(prod) == p:
                 hits[p] += 1
     fact = factorial(degree)
     return MappingProxyType({p: fact * n for p, n in hits.items()})

@@ -40,8 +40,8 @@ FAMILIES = tuple(_FAMILY_SIGMA)
 GENUS2_FAMILIES = ("g2_31", "g2_22")
 
 # largest degree of the closed forms that walk the admissible types; the
-# g3_5 walk in assembled_N_M, the costliest, grows about as d^3 and takes
-# about 0.25 s at d = 199 (0.04 s at 101), where a genus closed form takes
+# g3_5 sum in assembled_N_M, the costliest, grows about as d^3 and takes
+# about 0.14 s at d = 199 (0.02 s at 101), where a genus closed form takes
 # at most 5 ms, on a 2-core x86-64 VM
 MAX_CLOSED_FORM_DEGREE = 199
 # largest degree of the N/M polynomials of closed_N_M, which cost O(1); the
@@ -155,6 +155,8 @@ def eisenstein(name: str, order: int) -> tuple[int, ...]:
     """
     if name not in _EISENSTEIN:
         raise ValueError(f"unknown series {name!r}; expected P, Q or R")
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
     power, factor = _EISENSTEIN[name]
     return (1, *(factor * divisor_sigma(power, n) for n in range(1, order + 1)))
 
@@ -268,6 +270,32 @@ class UnclassifiedTypeError(ValueError):
     """The family's case analysis does not cover this beta type."""
 
 
+def _count_two_sizes(degree: int, family: str, l1: int, a1: int, l2: int, a2: int) -> int:
+    """The count of the type (l1^a1 l2^a2), l1 > l2."""
+    if family == "g2_31":
+        return l1 * l2
+    if l1 == 2:  # sizes {2, 1}
+        if family == "g2_22":
+            return a2 - 1
+        return 8 * (a1 - 1)
+    if family == "g2_22":
+        return l1 * l2 * (l1 - 2)
+    poly = 3 * l1 * l1 + 3 * l2 * l2 - 19 * l1 - 11 * l2 + 4 * degree + 22
+    twice = l1 * l2 * poly
+    if twice % 2:
+        raise ConsistencyError(f"non-integral count for sizes {[(l1, a1), (l2, a2)]}")
+    return twice // 2
+
+
+def _count_three_sizes(family: str, l1: int, l2: int, l3: int) -> int:
+    """The count of each type of sizes l1 > l2 > l3, whatever their multiplicities."""
+    if family == "g2_31":
+        return 0
+    if family == "g2_22":
+        return l1 * l2 * l3 if l1 == l2 + l3 else 0
+    return (7 if l1 == l2 + l3 else 11) * l1 * l2 * l3
+
+
 def _count_sizes(degree: int, family: str, sizes: Sizes) -> int:
     """The family's case analysis, on a beta type given as Sizes."""
     if len(sizes) == 1:
@@ -279,27 +307,9 @@ def _count_sizes(degree: int, family: str, sizes: Sizes) -> int:
             return 8 * comb(degree, 5)
         return 0  # identity class (prime d has no other single-size type)
     if len(sizes) == 2:
-        (l1, a1), (l2, a2) = sizes
-        if family == "g2_31":
-            return l1 * l2
-        if l1 == 2:  # sizes {2, 1}
-            if family == "g2_22":
-                return a2 - 1
-            return 8 * (a1 - 1)
-        if family == "g2_22":
-            return l1 * l2 * (l1 - 2)
-        poly = 3 * l1 * l1 + 3 * l2 * l2 - 19 * l1 - 11 * l2 + 4 * degree + 22
-        twice = l1 * l2 * poly
-        if twice % 2:
-            raise ConsistencyError(f"non-integral count for sizes {list(sizes)}")
-        return twice // 2
+        return _count_two_sizes(degree, family, *sizes[0], *sizes[1])
     if len(sizes) == 3:
-        (l1, _), (l2, _), (l3, _) = sizes
-        if family == "g2_31":
-            return 0
-        if family == "g2_22":
-            return l1 * l2 * l3 if l1 == l2 + l3 else 0
-        return (7 if l1 == l2 + l3 else 11) * l1 * l2 * l3
+        return _count_three_sizes(family, *(l for l, _ in sizes))
     raise UnclassifiedTypeError(
         f"{list(sizes)}: more than three distinct sizes is outside the case analysis"
     )
@@ -326,6 +336,16 @@ def _admissible_sizes(degree: int, family: str) -> Iterator[Sizes]:
 
 def _three_sizes(degree: int, family: str) -> Iterator[Sizes]:
     """The three-size part of _admissible_sizes for g2_22 and g3_5."""
+    for l1, a1, l2, l3, r1, a2s in _three_size_slices(degree, family):
+        p1 = (l1, a1)
+        for a2 in a2s:
+            yield (p1, (l2, a2), (l3, (r1 - a2 * l2) // l3))
+
+
+def _three_size_slices(degree: int, family: str) -> Iterator[tuple]:
+    """The types of _three_sizes, in order, as one (l1, a1, l2, l3, r1, a2s)
+    per progression: r1 = d - a1 l1, and a2s the nonempty range of the a2
+    whose a3 = (r1 - a2 l2)/l3 is a whole number >= 1."""
     for l2 in range(2, degree):
         for l3 in range(1, l2):
             room = degree - l2 - l3  # a1 l1 <= room leaves one l2 and one l3
@@ -333,9 +353,11 @@ def _three_sizes(degree: int, family: str) -> Iterator[Sizes]:
             if l1_min > room:
                 break
             l1_max = l1_min if family == "g2_22" else room
-            # a2 l2 = r1 (mod l3) holds on one residue class of a2 mod
-            # step, so only those a2 are visited, in increasing order
             g = gcd(l2, l3)
+            if family == "g2_22" and degree % g:
+                continue  # g divides l1 = l2 + l3, so every r1 = d (mod g)
+            # a2 l2 = r1 (mod l3) holds on one residue class of a2 mod
+            # step, so the a2 are one progression
             step = l3 // g
             inv = pow(l2 // g, -1, step)
             for l1 in range(l1_min, l1_max + 1):
@@ -343,10 +365,17 @@ def _three_sizes(degree: int, family: str) -> Iterator[Sizes]:
                     r1 = degree - a1 * l1
                     if r1 % g:
                         continue
-                    p1 = (l1, a1)
                     first = (r1 // g * inv - 1) % step + 1
-                    for a2 in range(first, (r1 - l3) // l2 + 1, step):
-                        yield (p1, (l2, a2), (l3, (r1 - a2 * l2) // l3))
+                    last = (r1 - l3) // l2
+                    if first <= last:
+                        yield l1, a1, l2, l3, r1, range(first, last + 1, step)
+
+
+def _progression_sums(a2s: range, l2: int, l3: int, r1: int) -> tuple[int, int, int]:
+    """(m, sum a2, sum a3) over the m a2 of a2s, a3 = (r1 - a2 l2)/l3."""
+    m = len(a2s)
+    sum_a2 = m * a2s.start + a2s.step * m * (m - 1) // 2
+    return m, sum_a2, (m * r1 - l2 * sum_a2) // l3
 
 
 def admissible_types(degree: int, family: str) -> Iterator[Partition]:
@@ -361,25 +390,46 @@ def admissible_types(degree: int, family: str) -> Iterator[Partition]:
 def assembled_N_M(
     degree: int, family: str, aggregated: bool = False
 ) -> tuple[int, Fraction]:
-    """N and the weighted count M, assembled type by type from the
-    closed per-type formulas: the independent check of closed_N_M.
+    """N and the weighted count M, summed from the closed per-type counts
+    in integer loops with no tuple per type: the independent check of
+    closed_N_M.  A three-size count depends on the sizes alone, so it is
+    taken once per progression of a2.  M is kept as count * multiplicity
+    per cycle length l and divided by l once at the end.  aggregated=True
+    returns closed_N_M; the benchmark's g3_aggregated job passes it.
 
-    Each admissible type is walked as its (size, multiplicity) pairs, in
-    integers: M is kept as count * multiplicity per cycle length l and
-    divided by l once at the end.  aggregated=True returns closed_N_M
-    instead; the keyword stays only because the benchmark's
-    g3_aggregated job passes it."""
+    >>> for f in FAMILIES:
+    ...     N, M = assembled_N_M(199, f)
+    ...     print(f, N, M, (N, M) == closed_N_M(199, f))
+    g2_31 2925450 3250500 True
+    g2_22 254839200 318549000 True
+    g3_5 78960333375 98962025085 True
+    """
     _check_family_degree(degree, family)
     if aggregated:
         return closed_N_M(degree, family)
-    N = 0
-    per_len = [0] * (degree + 1)  # sum of count * multiplicity, by length
-    for sizes in _admissible_sizes(degree, family):
-        n = _count_sizes(degree, family, sizes)
-        if n:
-            N += n
-            for l, a in sizes:
-                per_len[l] += n * a
+    N = _count_sizes(degree, family, ((degree, 1),))  # the long cycle
+    per_len = [0] * degree + [N]  # sum of count * multiplicity, by length
+    divisors = _divisor_lists(degree)
+    for l1 in range(2, degree):
+        for a1 in range(1, (degree - 1) // l1 + 1):
+            rest = degree - a1 * l1
+            for l2 in divisors[rest]:
+                if l2 >= l1:
+                    break
+                a2 = rest // l2
+                n = _count_two_sizes(degree, family, l1, a1, l2, a2)
+                N += n
+                per_len[l1] += n * a1
+                per_len[l2] += n * a2
+    if family != "g2_31":  # three-size types are provably empty there
+        for l1, a1, l2, l3, r1, a2s in _three_size_slices(degree, family):
+            n = _count_three_sizes(family, l1, l2, l3)
+            if n:
+                m, sum_a2, sum_a3 = _progression_sums(a2s, l2, l3, r1)
+                N += n * m
+                per_len[l1] += n * a1 * m
+                per_len[l2] += n * sum_a2
+                per_len[l3] += n * sum_a3
     M = sum((Fraction(c, l) for l, c in enumerate(per_len) if c), Fraction(0))
     return N, M
 
@@ -434,33 +484,18 @@ def gcd_sum_two_sizes(degree: int, weight_l1_minus_2: bool = False) -> int:
 
 def gcd_sum_three_sizes(degree: int) -> int:
     """sum over {a1 l1 + a2 l2 + a3 l3 = d, l1 = l2 + l3 > l2 > l3} of
-    gcd(l1,a1) gcd(l2,a2) gcd(l3,a3): the three-size types of g2_22.
-
-    The l1 = l2 + l3 slice of the _three_sizes walk, summed in place: for
-    each (l2, l3, a1) the a2 with a2 l2 = r1 (mod l3) are one progression.
+    gcd(l1,a1) gcd(l2,a2) gcd(l3,a3): the three-size types of g2_22,
+    summed one progression of a2 at a time.
 
     >>> gcd_sum_three_sizes(199)
     41603
     """
     total = 0
-    for l2 in range(2, degree):
-        for l3 in range(1, l2):
-            l1 = l2 + l3
-            room = degree - l1  # a1 l1 <= room leaves one l2 and one l3
-            if l1 > room:
-                break
-            g = gcd(l2, l3)
-            step = l3 // g
-            inv = pow(l2 // g, -1, step)
-            for a1 in range(1, room // l1 + 1):
-                r1 = degree - a1 * l1
-                if r1 % g:
-                    continue
-                first = (r1 // g * inv - 1) % step + 1
-                inner = 0
-                for a2 in range(first, (r1 - l3) // l2 + 1, step):
-                    inner += gcd(l2, a2) * gcd(l3, (r1 - a2 * l2) // l3)
-                total += gcd(l1, a1) * inner
+    for l1, a1, l2, l3, r1, a2s in _three_size_slices(degree, "g2_22"):
+        inner = 0
+        for a2 in a2s:
+            inner += gcd(l2, a2) * gcd(l3, (r1 - a2 * l2) // l3)
+        total += gcd(l1, a1) * inner
     return total
 
 

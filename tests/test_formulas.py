@@ -11,6 +11,7 @@ from toruscovers.formulas import (
     MAX_CLOSED_FORM_DEGREE,
     MAX_CLOSED_POLYNOMIAL_DEGREE,
     MAX_DEJONQUIERES_GENUS,
+    FAMILIES,
     UnclassifiedTypeError,
     admissible_types,
     assembled_N_M,
@@ -20,6 +21,7 @@ from toruscovers.formulas import (
     dejonquieres_positive,
     divisor_sigma,
     eisenstein,
+    family_min_degree,
     family_sigma,
     g3_slope_probe,
     gcd_sum_three_sizes,
@@ -188,12 +190,15 @@ def test_per_type_formulas_match_live_enumeration(family, d):
         (lambda: divisor_sigma(1, 0), "divisor sums need n >= 1"),
         (lambda: divisor_sigma(-1, 4), "divisor sums need power >= 0"),
         (lambda: eisenstein("S", 3), "unknown series 'S'"),
+        (lambda: eisenstein("P", -1), "series order must be >= 0, got -1"),
+        (lambda: ramanujan_check(-3), "series order must be >= 0, got -3"),
         (lambda: convolution_identity(1), "identity needs d >= 2"),
         (lambda: sum_identity_l1l2(1), "identity needs d >= 2"),
         (lambda: genus_closed(5, "g3_5"), "g = 2 families only"),
     ],
     ids=["below-family-degree", "composite-degree", "unknown-family",
          "divisor-sum-zero", "divisor-sum-power", "unknown-series",
+         "negative-series-order", "negative-ramanujan-order",
          "convolution-degree", "sum-identity-degree", "genus-g3"],
 )
 def test_bad_arguments_raise_value_error_naming_them(call, message):
@@ -283,6 +288,84 @@ def test_assembly_matches_partition_oracle(family, max_prime):
         assert assembled_N_M(d, family, aggregated=False) == (
             _assembled_by_partitions(d, family)
         ), d
+
+
+def _assembled_by_sizes(degree, family):
+    """N and M summed over the walk of Sizes, one _count_sizes call and
+    one tuple per type: the reference for the fused loops of
+    assembled_N_M."""
+    N = 0
+    per_len = [0] * (degree + 1)  # sum of count * multiplicity, by length
+    for sizes in formulas._admissible_sizes(degree, family):
+        n = formulas._count_sizes(degree, family, sizes)
+        if n:
+            N += n
+            for l, a in sizes:
+                per_len[l] += n * a
+    M = sum((Fraction(c, l) for l, c in enumerate(per_len) if c), Fraction(0))
+    return N, M
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fused_assembly_matches_the_sizes_walk(family):
+    primes = [d for d in primes_up_to(MAX_CLOSED_FORM_DEGREE)
+              if d >= family_min_degree(family)]
+    if family == "g3_5":  # the walk grows about as d^3
+        primes = [d for d in primes if d <= 113] + [MAX_CLOSED_FORM_DEGREE]
+    for d in primes:
+        assert assembled_N_M(d, family) == _assembled_by_sizes(d, family), d
+
+
+def test_progression_sums_match_an_explicit_a2_loop():
+    def explicit(l2, l3, r1):  # every a2 with a2 l2 + a3 l3 = r1, a2, a3 >= 1
+        return [a2 for a2 in range(1, r1 // l2 + 1)
+                if a2 * l2 < r1 and (r1 - a2 * l2) % l3 == 0]
+
+    for l2 in range(2, 12):
+        for l3 in range(1, l2):
+            for r1 in range(l2 + l3, 80):
+                a2s = explicit(l2, l3, r1)
+                if not a2s:
+                    continue
+                progression = range(a2s[0], a2s[-1] + 1, l3 // gcd(l2, l3))
+                assert list(progression) == a2s, (l2, l3, r1)
+                a3s = [(r1 - a2 * l2) // l3 for a2 in a2s]
+                assert formulas._progression_sums(progression, l2, l3, r1) == (
+                    len(a2s), sum(a2s), sum(a3s)), (l2, l3, r1)
+    # the walk yields exactly the nonempty progressions of the explicit loop
+    for d in range(5, 40):
+        for family in ("g2_22", "g3_5"):
+            walked = {(l1, a1, l2, l3): list(a2s) for l1, a1, l2, l3, r1, a2s
+                      in formulas._three_size_slices(d, family) if r1 == d - a1 * l1}
+            expected = {}
+            for l2 in range(2, d):
+                for l3 in range(1, l2):
+                    l1s = [l2 + l3] if family == "g2_22" else range(l2 + 1, d)
+                    for l1 in l1s:
+                        for a1 in range(1, d // l1 + 1):
+                            if a2s := explicit(l2, l3, d - a1 * l1):
+                                expected[l1, a1, l2, l3] = a2s
+            assert walked == expected, (d, family)
+
+
+@pytest.mark.parametrize(
+    "helper, beta_type, sizes",
+    [("_count_three_sizes", (4, 2, 1), (4, 2, 1)),
+     ("_count_two_sizes", (5, 2), (5, 1, 2, 1))],
+)
+def test_one_copy_of_the_case_analysis(monkeypatch, helper, beta_type, sizes):
+    # a count changed in the helper reaches both the per-type count and
+    # the fused assembly
+    d, family, extra = 7, "g3_5", 1000
+    N, M = assembled_N_M(d, family)
+    original = getattr(formulas, helper)
+
+    def changed(*args):
+        return original(*args) + (extra if args[-len(sizes):] == sizes else 0)
+
+    monkeypatch.setattr(formulas, helper, changed)
+    assert per_type_N(d, family, beta_type) == BRUTE_D7_G3_5[beta_type] + extra
+    assert assembled_N_M(d, family) == (N + extra, M + extra * type_weight(beta_type))
 
 
 # SHA-256 of repr(list(admissible_types(13, family))): pins which types
